@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadInput, HypothesisViolated
+from .gf import _is_prime_power
 from .stabilizer import EXACT, PURE, CodeParams
 
 NOT_CERTIFIABLE = "not certifiable from bound-only distance"
@@ -107,19 +108,6 @@ def hamming(p: CodeParams) -> BoundReport:
     return BoundReport(
         "hamming", holds, lhs, rhs, "<=", rhs - lhs, perfect=holds and lhs == rhs
     )
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 def gv_exists(q: int, n: int, k: int, d: int) -> BoundReport:

@@ -77,6 +77,17 @@ def _budget(args) -> int:
     return 1 << args.budget
 
 
+def _budget_log2(text: str) -> int:
+    """argparse type of --budget: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _print_params(p: CodeParams, kv: bool) -> None:
     if kv:
         print("\n".join(certificate_kv(p)))
@@ -141,8 +152,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_css(args) -> int:
     c1, c2 = load_code(args.c1), load_code(args.c2)
-    _, params = css(c1, c2, _budget(args))
-    _print_params(params, args.kv)
+    _print_params(css(c1, c2, _budget(args)).params, args.kv)
     return 0
 
 
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, budget=True):
         if budget:
-            p.add_argument("--budget", type=int, default=26, metavar="LOG2",
+            p.add_argument("--budget", type=_budget_log2, default=26, metavar="LOG2",
                            help="enumeration cap as log2 of codeword visits (default 26)")
         p.add_argument("--kv", action="store_true", help="machine-readable key=value output")
 

@@ -351,10 +351,6 @@ def is_subcode(B: LinearCode, A: LinearCode) -> bool:
 # duals and hulls
 
 
-def _dual_linear_kernel(C: LinearCode, constraint: FqMatrix) -> FqMatrix:
-    return fmatrix.kernel(constraint)
-
-
 def dual(C: LinearCode, ip: str) -> LinearCode:
     """Dual code under the named pairing.
 
@@ -374,20 +370,19 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
         for r in C.gen.rows:
             a, b = r[:half], r[half:]
             constraint.append(tuple(b) + tuple(f.neg(x) for x in a))
-        K = fmatrix.kernel(fmatrix.matrix(f, constraint, C.n)) if constraint else fmatrix.rref(fmatrix.identity(f, C.n))[0]
+        K = fmatrix.kernel(fmatrix.matrix(f, constraint, C.n))
         return SymplecticCode(f, C.n, K)
     if ip in ("euclidean", "trace_euclidean"):
         if C.is_additive:
             raise StabforgeError(f"{ip} dual is defined here for linear codes only")
-        K = fmatrix.kernel(C.gen) if C.gen.rows else fmatrix.rref(fmatrix.identity(f, C.n))[0]
+        K = fmatrix.kernel(C.gen)
         return LinearCode(f, C.n, K, LINEAR)
     if ip == "hermitian":
         if C.is_additive:
             raise StabforgeError("hermitian dual is defined here for linear codes only")
         if f.m % 2:
             raise WrongFieldOrder(f"hermitian dual needs square order, got GF({f.q})")
-        conj_gen = fmatrix.entrywise_frob(C.gen, f.m // 2)
-        K = fmatrix.kernel(conj_gen) if conj_gen.rows else fmatrix.rref(fmatrix.identity(f, C.n))[0]
+        K = fmatrix.kernel(fmatrix.entrywise_frob(C.gen, f.m // 2))
         return LinearCode(f, C.n, K, LINEAR)
     # trace_hermitian / trace_alternating: compute over the subfield
     if f.m % 2:
@@ -401,10 +396,7 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
     constraint = []
     for g in A.gen.rows:
         constraint.append(tuple(pair(f, g, u) for u in units))
-    if constraint:
-        K = fmatrix.kernel(fmatrix.matrix(ext.sub, constraint, 2 * C.n))
-    else:
-        K = fmatrix.rref(fmatrix.identity(ext.sub, 2 * C.n))[0]
+    K = fmatrix.kernel(fmatrix.matrix(ext.sub, constraint, 2 * C.n))
     return additive_code(f, [ext.phi(r) for r in K.rows], C.n)
 
 
@@ -712,7 +704,7 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
     field = None
     length = None
     kind = None
-    rows = []
+    numbered_rows = []
     in_rows = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -720,7 +712,7 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
             continue
         if in_rows:
             try:
-                rows.append(tuple(int(tok) for tok in line.split()))
+                numbered_rows.append((lineno, tuple(int(tok) for tok in line.split())))
             except ValueError:
                 raise CodeFileError(f"{name}:{lineno}: row entries must be integers")
             continue
@@ -736,7 +728,9 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
             try:
                 length = int(line.split()[1])
             except (IndexError, ValueError):
-                raise CodeFileError(f"{name}:{lineno}: expected 'length n'")
+                length = 0
+            if length < 1:
+                raise CodeFileError(f"{name}:{lineno}: expected 'length n' with n >= 1")
         elif line.startswith("kind"):
             kind = line.split()[1] if len(line.split()) > 1 else ""
             if kind not in (LINEAR, ADDITIVE, SYMPLECTIC):
@@ -748,11 +742,12 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
     if field is None or length is None or kind is None:
         raise CodeFileError(f"{name}: missing field/length/kind header")
     expected = 2 * length if kind == SYMPLECTIC else length
-    for i, r in enumerate(rows):
+    for i, (lineno, r) in enumerate(numbered_rows, start=1):
         if len(r) != expected:
-            raise CodeFileError(f"{name}: row {i + 1} has {len(r)} entries, expected {expected}")
+            raise CodeFileError(f"{name}:{lineno}: row {i} has {len(r)} entries, expected {expected}")
         if any(x < 0 or x >= field.q for x in r):
-            raise CodeFileError(f"{name}: row {i + 1} has entries outside [0, {field.q})")
+            raise CodeFileError(f"{name}:{lineno}: row {i} has entries outside [0, {field.q})")
+    rows = [r for _, r in numbered_rows]
     if kind == SYMPLECTIC:
         return symplectic_code(field, rows, half=length)
     if kind == ADDITIVE:

@@ -50,6 +50,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _is_prime_power(q: int) -> bool:
+    if q < 2:
+        return False
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if q % p:
+        p = q
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 # -- polynomial helpers over GF(p), coefficient tuples, lowest degree first
 
 

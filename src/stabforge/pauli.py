@@ -57,6 +57,15 @@ def pauli_from_vector(field: Field, row) -> PauliOperator:
     return PauliOperator(field, n, a, b, 0)
 
 
+def hermitian_phases(field: Field, rows) -> tuple[int, ...]:
+    """Generator phases lambda = a.b (mod 2), one per (a|b) row, that make
+    each qubit operator i^lambda X(a) Z(b) Hermitian; 0 over other fields."""
+    if field.q != 2:
+        return (0,) * len(rows)
+    n = len(rows[0]) // 2 if rows else 0
+    return tuple(sum(r[i] & r[n + i] for i in range(n)) % 2 for r in rows)
+
+
 def _check_pair(E: PauliOperator, F: PauliOperator):
     if E.field is not F.field or E.n != F.n:
         raise ShapeMismatch("operators act on different spaces")

@@ -34,7 +34,6 @@ from .code import (
     quad_ext,
     sum_code,
     symplectic_code,
-    trace_alternating_pair,
 )
 from .errors import (
     BadRule,
@@ -47,7 +46,8 @@ from .errors import (
     StabforgeError,
     WrongFieldOrder,
 )
-from .pauli import pauli_format, pauli_from_vector
+from .gf import _is_prime_power
+from .pauli import hermitian_phases, pauli_format, pauli_from_vector
 
 PURE = "pure"
 IMPURE = "impure"
@@ -76,6 +76,8 @@ class CodeParams:
     ebits: int | None = None
 
     def __post_init__(self):
+        if not _is_prime_power(self.q):
+            raise StabforgeError(f"q = {self.q} is not a prime power")
         if not 0 <= self.k <= self.n:
             raise StabforgeError(f"invalid logical dimension k={self.k} for n={self.n}")
         if (self.d is None) == (self.dz is None and self.dx is None):
@@ -108,13 +110,10 @@ class StabilizerCode:
     params: CodeParams
     phases: tuple[int, ...]
 
-
-def _hermitian_phases(C: SymplecticCode) -> tuple[int, ...]:
-    # lambda_j = a_j . b_j (mod 2) makes each lifted qubit generator Hermitian
-    if C.field.q != 2:
-        return (0,) * C.k_dim
-    half = C.half
-    return tuple(sum(r[i] & r[half + i] for i in range(half)) % 2 for r in C.gen.rows)
+    def __iter__(self):
+        # `stab, params = css(...)` still unpacks, for callers written when
+        # css returned that pair (bench/baseline.py)
+        return iter((self, self.params))
 
 
 def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
@@ -142,7 +141,8 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
         pure = PURE
         tag += "|k0-selfdual"
     params = CodeParams(q=C.field.q, n=n, k=k, d=d, pure=pure, provenance=tag)
-    return StabilizerCode(code=C, dual=D, params=params, phases=_hermitian_phases(C))
+    phases = hermitian_phases(C.field, C.gen.rows)
+    return StabilizerCode(code=C, dual=D, params=params, phases=phases)
 
 
 def certify_additive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
@@ -151,14 +151,9 @@ def certify_additive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerC
     if C.field.m % 2:
         raise WrongFieldOrder(f"additive certification needs GF(q^2), got GF({C.field.q})")
     A = as_additive(C)
-    rows = A.gen.rows
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            v = trace_alternating_pair(A.field, rows[i], rows[j])
-            if v:
-                raise NotSelfOrthogonal(i, j, v)
-    pre = phi_inv_code(A)
-    stab = certify_stabilizer(pre, budget)
+    # Phi carries the trace-alternating pairing to the symplectic one, so
+    # certify_stabilizer's check on the preimage is the additive check
+    stab = certify_stabilizer(phi_inv_code(A), budget)
     tag = f"certify_additive(C:{code_digest(A)})"
     if stab.params.k == 0:
         tag += "|k0-selfdual"
@@ -176,14 +171,14 @@ def _merge_status(*results: DistanceResult) -> str:
     return EXACT if all(r.status == EXACT for r in results) else LOWER_BOUND
 
 
-def css(
-    C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET
-) -> tuple[StabilizerCode, CodeParams]:
+def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
     """CSS construction from C1^perp_E contained in C2.
 
-    Returns the certified block-diagonal symplectic code together with the
-    parameters derived from the two coset distances; the two agree and the
-    acceptance suite cross-checks them.
+    The stabilizer is the block code (C1^perp | 0) + (0 | C2^perp), which the
+    nesting makes symplectic self-orthogonal.  For k > 0 its parameters
+    [[n, k1 + k2 - n, min(wt(C2 minus C1^perp), wt(C1 minus C2^perp))]]
+    come from the two classical coset distances; purity compares them with
+    d(C1) and d(C2).  For k = 0 the block is certified directly.
     """
     _check_linear_pair(C1, C2)
     n = C1.n
@@ -195,17 +190,17 @@ def css(
     rows = [tuple(r) + (0,) * n for r in D1.gen.rows]
     rows += [(0,) * n + tuple(r) for r in D2.gen.rows]
     block = symplectic_code(f, rows, half=n)
-    stab = certify_stabilizer(block, budget)
     k = C1.k_dim + C2.k_dim - n
     tag = f"css(C1:{code_digest(C1)},C2:{code_digest(C2)})"
     if k == 0:
-        return stab, replace(stab.params, provenance=tag + "|k0-selfdual")
+        stab = certify_stabilizer(block, budget)
+        return replace(stab, params=replace(stab.params, provenance=tag + "|k0-selfdual"))
     w21 = min_weight_diff(C2, D1, "hamming", budget)
     w12 = min_weight_diff(C1, D2, "hamming", budget)
     if w21.value <= w12.value:
-        best, sym_wit = w21, (tuple(w21.witness) + (0,) * n if w21.witness else None)
+        sym_wit = tuple(w21.witness) + (0,) * n if w21.witness else None
     else:
-        best, sym_wit = w12, ((0,) * n + tuple(w12.witness) if w12.witness else None)
+        sym_wit = (0,) * n + tuple(w12.witness) if w12.witness else None
     d = DistanceResult(
         min(w21.value, w12.value), _merge_status(w21, w12), sym_wit, w21.visited + w12.visited
     )
@@ -216,7 +211,8 @@ def css(
     else:
         pure = UNKNOWN
     params = CodeParams(q=f.q, n=n, k=k, d=d, pure=pure, provenance=tag)
-    return stab, params
+    phases = hermitian_phases(f, block.gen.rows)
+    return StabilizerCode(code=block, dual=dual(block, "symplectic"), params=params, phases=phases)
 
 
 def steane_enlarge(C: LinearCode, Cp: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:

@@ -21,7 +21,7 @@ from . import fmatrix
 from .code import SymplecticCode, symplectic_pair
 from .errors import BadRange, NotSelfOrthogonal, ShapeMismatch, StabforgeError, TooLarge, UnsupportedField
 from .gf import Field, field_make
-from .pauli import PauliOperator
+from .pauli import PauliOperator, hermitian_phases
 
 _F2 = field_make(2, 1)
 
@@ -70,9 +70,7 @@ def generator_set(C: SymplecticCode) -> GeneratorSet:
     """Hermitian generator lift of a qubit symplectic (sub)code."""
     if C.field.q != 2:
         raise UnsupportedField("the dense oracle supports qubits only")
-    n = C.half
-    phases = tuple(sum(r[i] & r[n + i] for i in range(n)) % 2 for r in C.gen.rows)
-    return GeneratorSet(n=n, rows=C.gen.rows, phases=phases)
+    return GeneratorSet(n=C.half, rows=C.gen.rows, phases=hermitian_phases(C.field, C.gen.rows))
 
 
 def basis_state(n: int, bits) -> np.ndarray:

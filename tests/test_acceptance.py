@@ -159,15 +159,17 @@ def test_criterion_04_commutation_ground_truth():
 
 
 def test_criterion_05_css_oracle_equivalence(hamming74, even432):
-    stab, p = css(hamming74, hamming74)
+    stab = css(hamming74, hamming74)
+    p = stab.params
     assert format_params(p) == "[[7,1,3]]_2"
     assert stab.code.is_self_orthogonal()
-    g = stab.params
+    g = certify_stabilizer(stab.code).params
     assert (g.n, g.k, g.d.value, g.d.status, g.pure) == (p.n, p.k, p.d.value, p.d.status, p.pure)
 
-    stab2, p2 = css(even432, even432)
+    stab2 = css(even432, even432)
+    p2 = stab2.params
     assert format_params(p2) == "[[4,2,2]]_2"
-    g2 = stab2.params
+    g2 = certify_stabilizer(stab2.code).params
     assert (g2.n, g2.k, g2.d.value, g2.pure) == (p2.n, p2.k, p2.d.value, p2.pure)
     r = singleton(p2)
     assert r.holds and r.qmds and r.slack == 0
@@ -199,8 +201,8 @@ def test_criterion_06_phi_bridge(ex512, hamming74, even432, f3):
     ]
     suite = [
         ex512,
-        css(hamming74, hamming74)[0].code,
-        css(even432, even432)[0].code,
+        css(hamming74, hamming74).code,
+        css(even432, even432).code,
         symplectic_code(F2, shor_rows),
         symplectic_code(F2, [(1, 1)]),
         symplectic_code(F2, [], half=3),

@@ -225,8 +225,8 @@ def test_aqmds_bad_inputs():
 def test_certified_codes_pass_their_bounds(ex512, hamming74, even432, hexacode):
     outputs = [
         certify_stabilizer(ex512).params,
-        css(hamming74, hamming74)[1],
-        css(even432, even432)[1],
+        css(hamming74, hamming74).params,
+        css(even432, even432).params,
         certify_additive(hexacode).params,
     ]
     for p in outputs:

@@ -207,6 +207,78 @@ def test_malformed_file_diagnostic_names_line(files, capsys):
     assert "broken.code" in err and ":5:" in err
 
 
+def _write_code(path, head, rows):
+    path.write_text("\n".join(["field GF(2)", head, "kind symplectic", "rows"] + rows) + "\n")
+    return str(path)
+
+
+def test_code_file_length_not_positive_names_header_line(tmp_path, capsys):
+    for length in ("-1", "0"):
+        path = _write_code(tmp_path / "neg.sym", f"length {length}", [])
+        assert run(["certify", "--in", path]) == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+
+
+def test_code_file_row_length_names_row_line(tmp_path, capsys):
+    path = _write_code(tmp_path / "ragged.sym", "length 2", ["1 0 0 0", "0 1 0 0 1"])
+    assert run(["certify", "--in", path]) == 2
+    assert f"{path}:6:" in capsys.readouterr().err
+
+
+def test_code_file_entry_range_names_row_line(tmp_path, capsys):
+    path = _write_code(tmp_path / "range.sym", "length 2", ["1 0 7 0", "0 1 0 0"])
+    assert run(["certify", "--in", path]) == 2
+    assert f"{path}:5:" in capsys.readouterr().err
+
+
+def test_negative_budget_is_usage_error(files, capsys):
+    assert run(["certify", "--in", str(files["ex512"]), "--budget", "-1"]) == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_non_prime_power_q_is_usage_error(capsys):
+    for argv in (
+        ["bounds", "--singleton", "--params", "5,1,3,6"],
+        ["bounds", "--hamming", "--params", "5,1,3,6", "--pure"],
+        ["bounds", "--aqc-singleton", "--params", "5,1,3,2,6"],
+        ["propagate", "--params", "5,1,3,6", "--rule", "lengthen"],
+    ):
+        assert run(argv) == 2
+        assert "not a prime power" in capsys.readouterr().err
+
+
+# --kv certificates, witness included, pinned byte for byte
+GOLDEN_KV = {
+    "css-ham7": "q=2\nn=7\nk=1\nd=3\nd.status=exact\npure=true\n"
+                "provenance=css(C1:bd795c01,C2:bd795c01)\nwitness=IIXIXXI\n",
+    "css-rm23": "q=2\nn=8\nk=6\nd=2\nd.status=exact\npure=true\n"
+                "provenance=css(C1:77765b04,C2:77765b04)\nwitness=IIIIIIXX\n",
+    "css-rm14-34": "q=2\nn=16\nk=4\nd=2\nd.status=exact\npure=true\n"
+                   "provenance=css(C1:699e75e6,C2:59584eec)\nwitness=IIIIIIIIIIIIIIXX\n",
+    "certify-phi512": "q=2\nn=5\nk=1\nd=3\nd.status=exact\npure=true\n"
+                      "provenance=certify_additive(C:79c2556b)\nwitness=IZZIX\n",
+}
+
+
+def test_golden_kv_certificates(files, tmp_path, capsys, f2):
+    from stabforge.code import linear_code
+    from conftest import reed_muller_rows
+
+    rm = {}
+    for r, m in ((2, 3), (1, 4), (3, 4)):
+        rm[r, m] = tmp_path / f"rm{r}{m}.code"
+        save_code(linear_code(f2, reed_muller_rows(r, m)), rm[r, m])
+    argvs = {
+        "css-ham7": ["css", "--c1", str(files["hamming"]), "--c2", str(files["hamming"])],
+        "css-rm23": ["css", "--c1", str(rm[2, 3]), "--c2", str(rm[2, 3])],
+        "css-rm14-34": ["css", "--c1", str(rm[1, 4]), "--c2", str(rm[3, 4])],
+        "certify-phi512": ["certify", "--in", str(files["phi512"])],
+    }
+    for name, argv in argvs.items():
+        assert run(argv + ["--kv"]) == 0
+        assert capsys.readouterr().out == GOLDEN_KV[name], name
+
+
 def test_worker_cap_env(monkeypatch):
     monkeypatch.delenv("STABFORGE_THREADS", raising=False)
     assert worker_cap() == 1

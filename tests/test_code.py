@@ -88,6 +88,17 @@ def test_dual_of_full_space_is_zero(f2):
     assert dual(full, "euclidean").k_dim == 0
 
 
+def test_dual_of_zero_code_is_full_space(f2, f4):
+    n = 3
+    for ip in ("euclidean", "trace_euclidean"):
+        assert dual(linear_code(f2, [], n=n), ip).k_dim == n
+    assert dual(linear_code(f4, [], n=n), "hermitian").k_dim == n
+    for ip in ("trace_hermitian", "trace_alternating"):
+        D = dual(additive_code(f4, [], n=n), ip)
+        assert D.is_additive and D.k_dim == 2 * n
+    assert dual(symplectic_code(f2, [], half=n), "symplectic").k_dim == 2 * n
+
+
 def test_euclidean_dual_of_hamming_is_7_3(hamming74):
     D = dual(hamming74, "euclidean")
     assert D.k_dim == 3

@@ -21,7 +21,7 @@ from stabforge.fmatrix import (
     transpose,
     zeros,
 )
-from stabforge.gf import field_make
+from stabforge.gf import field_make, field_of_order
 
 F2 = field_make(2, 1)
 F4 = field_make(2, 2)
@@ -92,6 +92,10 @@ def test_kernel_identity_empty():
 def test_kernel_zero_row_full():
     K = kernel(zeros(F2, 1, 5))
     assert K.nrows == 5
+    # a matrix with no rows at all constrains nothing either
+    for q in (2, 3, 4, 9, 256):
+        field = field_of_order(q)
+        assert kernel(zeros(field, 0, 5)) == identity(field, 5)
 
 
 def test_kernel_hamming_dim_3():

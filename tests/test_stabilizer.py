@@ -154,15 +154,17 @@ def test_certify_additive_zero_code(f4):
 
 def test_certify_additive_rejects_non_self_orthogonal(f4):
     C = additive_code(f4, [(1, 0), (2, 0)], n=2)
-    with pytest.raises(NotSelfOrthogonal):
+    with pytest.raises(NotSelfOrthogonal) as exc:
         certify_additive(C)
+    assert (exc.value.pair, exc.value.value) == ((0, 1), 1)
 
 
 # -- CSS ------------------------------------------------------------------------
 
 
 def test_css_hamming_gives_7_1_3(hamming74):
-    stab, p = css(hamming74, hamming74)
+    stab = css(hamming74, hamming74)
+    p = stab.params
     assert format_params(p) == "[[7,1,3]]_2"
     assert p.pure == PURE
     assert stab.code.is_self_orthogonal()
@@ -173,15 +175,28 @@ def test_css_hamming_gives_7_1_3(hamming74):
 
 def test_css_matches_generic_certification(hamming74, even432):
     for C in (hamming74, even432):
-        stab, p = css(C, C)
-        g = stab.params
+        stab = css(C, C)
+        p = stab.params
+        g = certify_stabilizer(stab.code).params
         assert (g.n, g.k, g.d.value, g.d.status, g.pure) == (
             p.n, p.k, p.d.value, p.d.status, p.pure,
         )
 
 
+def test_css_golay_exact_where_block_certificate_is_layered(f2):
+    # cyclic [23,12,7] Golay code, g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11
+    g = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+    golay = linear_code(f2, [(0,) * i + g + (0,) * (11 - i) for i in range(12)])
+    budget = 1 << 18
+    stab = css(golay, golay, budget)
+    assert format_params(stab.params) == "[[23,1,7]]_2"
+    # the block's symplectic dual spans 2^24 words, beyond the budget
+    block = certify_stabilizer(stab.code, budget).params.d
+    assert block.status == LOWER_BOUND and block.value <= 7
+
+
 def test_css_even4_gives_4_2_2(even432):
-    _, p = css(even432, even432)
+    p = css(even432, even432).params
     assert format_params(p) == "[[4,2,2]]_2"
     assert p.pure == PURE
 
@@ -194,13 +209,13 @@ def test_css_not_nested(f2, even762):
 
 
 def test_css_k0_uses_selfdual_convention(hamming74, simplex73):
-    _, p = css(hamming74, simplex73)
+    p = css(hamming74, simplex73).params
     assert p.k == 0 and "k0-selfdual" in p.provenance
 
 
 def test_css_qutrit_sum_zero_code():
     C = linear_code(F3, [(1, 0, 2), (0, 1, 2)])
-    _, p = css(C, C)
+    p = css(C, C).params
     assert format_params(p) == "[[3,1,2]]_3"
 
 
@@ -210,10 +225,10 @@ def test_css_shor_blocks_are_impure(f2):
                               (0, 0, 0, 1, 1, 1, 0, 0, 0),
                               (0, 0, 0, 0, 0, 0, 1, 1, 1)])
     C1 = dual(linear_code(f2, x_stabs), "euclidean")
-    stab, p = css(C1, z_side)
-    assert format_params(p) == "[[9,1,3]]_2"
-    assert p.pure == IMPURE
+    stab = css(C1, z_side)
+    assert format_params(stab.params) == "[[9,1,3]]_2"
     assert stab.params.pure == IMPURE
+    assert certify_stabilizer(stab.code).params.pure == IMPURE
 
 
 # -- Steane enlargement ------------------------------------------------------------
@@ -428,7 +443,7 @@ def test_codeparams_allows_bound_only_values():
 def test_every_certificate_carries_provenance(ex512, hamming74, hexacode):
     outputs = [
         certify_stabilizer(ex512).params,
-        css(hamming74, hamming74)[1],
+        css(hamming74, hamming74).params,
         certify_additive(hexacode).params,
         ea_ebits(hexacode),
     ]
