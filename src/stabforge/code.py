@@ -9,6 +9,17 @@ code file format.
 Additive codes (F_q-linear subsets of F_{q^2}^n) are canonicalized and
 row-reduced in their Phi-preimage, where they are plain F_q-linear; one
 kernel routine then serves every dual.
+
+Minimum weights come from one search over every field (`_search`).  It
+walks a code's span in numpy blocks of at most _BLOCK codewords: the whole
+span when its q^k - 1 nonzero words fit the budget, otherwise message-
+weight layers t = 1, 2, ... for as long as each fits.  Words of unfinished
+layers touch at least t pivot columns, so t (ceil(t/2) for quantum weight)
+is a proven floor.  A lightest word found below that floor is the exact
+distance; otherwise the result is the floor, as a lower bound.  An exact
+result's witness is the lexicographically smallest minimum-weight word
+(outside the excluded subcode, for a difference), independent of the
+order in which the words are visited.
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import fmatrix
 from .errors import (
@@ -34,6 +47,8 @@ from .fmatrix import FqMatrix
 from .gf import Field, field_make, field_of_order
 
 DEFAULT_BUDGET = 1 << 26
+# codewords per numpy block of the minimum-weight search; bounds its memory
+_BLOCK = 4096
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -441,183 +456,130 @@ class DistanceResult:
         return self.status == EXACT
 
 
-def _pack_msb(row, ncols: int) -> int:
-    v = 0
-    for j, x in enumerate(row):
-        if x:
-            v |= 1 << (ncols - 1 - j)
-    return v
+def _messages(combos, r: int, q: int):
+    """Every message supported exactly on one of `combos` (r-tuples of
+    positions), as (positions, coefficients) chunks of at most _BLOCK rows."""
+    patterns = (q - 1) ** r
+    step = min(patterns, _BLOCK)
+    combos = iter(combos)
+    while batch := list(itertools.islice(combos, max(1, _BLOCK // patterns))):
+        pos = np.array(batch, dtype=np.intp).reshape(len(batch), r)
+        for a in range(0, patterns, step):
+            # pattern index -> its r base-(q-1) digits, shifted onto 1..q-1
+            coef = np.arange(a, min(a + step, patterns))[:, None] // (q - 1) ** np.arange(r) % (q - 1) + 1
+            yield np.repeat(pos, len(coef), axis=0), np.tile(coef, (len(pos), 1))
 
 
-def _unpack_msb(v: int, ncols: int) -> tuple[int, ...]:
-    return tuple((v >> (ncols - 1 - j)) & 1 for j in range(ncols))
+def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude):
+    """Minimum weight over the nonzero span of `gen` outside span(B).
 
+    `gen` must be in reduced echelon form; `exclude` is None or B's (rref,
+    pivots).  Returns (value, status, witness, visited).
 
-def _search_gf2(rows, ncols, quantum_half, budget, exclude):
-    """Minimum weight over nonzero span of packed GF(2) rows.
+    Words are held as columns of uint8 blocks of at most _BLOCK words.  A
+    block is a run of prefix words, each added to every word of a table:
+    by XOR in characteristic 2, through the add table otherwise.  If the
+    q^k - 1 nonzero words fit the budget, the table is the span of the
+    last rows and the prefixes stream over every message of the others.
+    Otherwise message-weight layers t = 1, 2, ... are finished while they
+    fit: the table holds the messages supported on s positions (the
+    largest s <= t that fits a block), ordered by first position, and each
+    weight-(t - s) prefix meets the table words that start after its last
+    position.  An unvisited word has message weight >= t, so it is nonzero
+    on >= t pivot columns: its weight is at least the floor t, or ceil(t/2)
+    for quantum weight.  A lightest word found below that floor is the
+    exact distance; otherwise the floor is a lower bound, with no witness.
 
-    `exclude` is an optional (packed rref rows, pivot masks) pair whose
-    span is skipped.  Returns (value, status, witness_packed, visited).
-    Rows must come from a reduced echelon generator so the layered floor
-    argument is valid.
+    The witness is the lexicographically smallest minimum-weight word
+    outside B, whatever order the words are visited in: each block's
+    lightest words are lexsorted and tested for exclusion in that order.
     """
-    k = len(rows)
-    mask = (1 << quantum_half) - 1 if quantum_half else 0
-
-    def weight(v: int) -> int:
-        if quantum_half:
-            return ((v >> quantum_half) | (v & mask)).bit_count()
-        return v.bit_count()
-
-    def in_excluded(v: int) -> bool:
-        if exclude is None:
-            return False
-        ex_rows, ex_piv = exclude
-        for row, pb in zip(ex_rows, ex_piv):
-            if v & pb:
-                v ^= row
-        return v == 0
-
-    best_w = ncols + 1
-    best_v = None
-    visited = 0
-    total = (1 << k) - 1
-    if total <= budget:
-        cw = 0
-        prev = 0
-        for t in range(1, total + 1):
-            gray = t ^ (t >> 1)
-            idx = (gray ^ prev).bit_length() - 1
-            prev = gray
-            cw ^= rows[idx]
-            visited += 1
-            w = weight(cw)
-            if w < best_w or (w == best_w and best_v is not None and cw < best_v):
-                if not in_excluded(cw):
-                    best_w, best_v = w, cw
-        return best_w, EXACT, best_v, visited
-
-    # budget too small for the full span: walk message-weight layers and
-    # keep the information-set floor for whatever stays unexplored
-    t = 1
-    while t <= k:
-        layer = math.comb(k, t)
-        if visited + layer > budget:
-            break
-        for combo in itertools.combinations(range(k), t):
-            cw = 0
-            for i in combo:
-                cw ^= rows[i]
-            visited += 1
-            w = weight(cw)
-            if w < best_w or (w == best_w and best_v is not None and cw < best_v):
-                if not in_excluded(cw):
-                    best_w, best_v = w, cw
-        t += 1
-    if t > k:
-        return best_w, EXACT, best_v, visited
-    # unexplored combinations touch >= t pivot columns
-    floor = -(-t // 2) if quantum_half else t
-    return min(best_w, floor), LOWER_BOUND, None, visited
-
-
-def _np_weights(W, quantum_half):
-    if quantum_half:
-        return ((W[:, :quantum_half] != 0) | (W[:, quantum_half:] != 0)).sum(axis=1)
-    return (W != 0).sum(axis=1)
-
-
-def _search_gfq(field, gen: FqMatrix, quantum_half, budget, exclude):
-    """Table-driven minimum weight for q > 2, block-vectorized."""
-    import numpy as np
-
+    q = field.q
     add_t, mul_t = field.np_tables()
     rows = np.array(gen.rows, dtype=np.uint8)
-    k, ncols = rows.shape
-    q = field.q
+    k, n = rows.shape
+    mults = mul_t[rows.T]  # mults[:, i, c] = c * row i
+    if field.p == 2:
+        plus = np.bitwise_xor
+    else:
+        add_flat = add_t.ravel()
 
-    def in_excluded(vec) -> bool:
-        if exclude is None:
-            return False
-        ex, piv = exclude
-        return fmatrix.in_span(ex, piv, tuple(int(x) for x in vec))
+        def plus(a, b):  # a + b = add_flat[a * q + b], below 2^16 for odd q <= 243
+            return add_flat.take(a.astype(np.uint16) * q + b)
 
-    best_w = ncols + 1
-    best_v: tuple[int, ...] | None = None
-    visited = 0
+    count = np.uint8 if n < 255 else np.uint16
+    best_w, best_v = n + 1, None
 
-    def consider(W, weights):
-        nonlocal best_w, best_v, visited
-        visited += len(weights)
-        cap = best_w
-        idx = np.nonzero(weights <= cap)[0]
-        for i in idx:
-            w = int(weights[i])
-            vec = tuple(int(x) for x in W[i])
-            if w < best_w or (w == best_w and best_v is not None and vec < best_v):
-                if not in_excluded(vec):
-                    best_w, best_v = w, vec
-
-    def words_for(messages):
-        W = np.zeros((len(messages), ncols), dtype=np.uint8)
-        for i in range(k):
-            contrib = mul_t[messages[:, i]][:, rows[i]]
-            W = add_t[W, contrib]
+    def words(pos, coef):
+        """Words of the given messages, one per column."""
+        W = np.zeros((n, len(pos)), dtype=np.uint8)
+        for j in range(pos.shape[1]):
+            W = plus(W, mults[:, pos[:, j], coef[:, j]])
         return W
 
-    total = q**k - 1
-    block = 8192
-    if total <= budget:
-        for start in range(1, q**k, block):
-            stop = min(start + block, q**k)
-            idx = np.arange(start, stop, dtype=np.int64)
-            messages = np.empty((len(idx), k), dtype=np.int64)
-            rem = idx.copy()
-            for i in range(k):
-                messages[:, i] = rem % q
-                rem //= q
-            W = words_for(messages)
-            consider(W, _np_weights(W, quantum_half))
-        return best_w, EXACT, best_v, visited
+    def consider(W):
+        nonlocal best_w, best_v
+        X = W[:quantum_half] | W[quantum_half:] if quantum_half else W
+        wts = (X != 0).sum(axis=0, dtype=count)
+        live = np.nonzero((wts > 0) & (wts <= best_w))[0]
+        while len(live):
+            lw = wts[live]
+            v = lw.min()
+            level = W[:, live[lw == v]]
+            for i in np.lexsort(level[::-1]):
+                vec = tuple(level[:, i].tolist())
+                if v == best_w and vec >= best_v:
+                    break
+                if exclude is None or not fmatrix.in_span(*exclude, vec):
+                    best_w, best_v = int(v), vec
+                    return
+            live = live[lw > v]
 
-    t = 1
-    while t <= k:
-        layer = math.comb(k, t) * (q - 1) ** t
-        if visited + layer > budget:
-            break
-        patterns = (q - 1) ** t
-        for combo in itertools.combinations(range(k), t):
-            for start in range(0, patterns, block):
-                stop = min(start + block, patterns)
-                idx = np.arange(start, stop, dtype=np.int64)
-                messages = np.zeros((len(idx), k), dtype=np.int64)
-                rem = idx.copy()
-                for pos in combo:
-                    messages[:, pos] = rem % (q - 1) + 1
-                    rem //= q - 1
-                W = words_for(messages)
-                consider(W, _np_weights(W, quantum_half))
+    def blocks(prefixes, table):
+        """Every prefix word plus every table word, in blocks."""
+        per = max(1, _BLOCK // table.shape[1])
+        for P in prefixes:
+            for a in range(0, P.shape[1], per):
+                yield plus(P[:, a : a + per, None], table[:, None, :]).reshape(n, -1)
+
+    low = 1  # the span of `low` rows fills at most a block
+    while q ** (low + 1) <= _BLOCK:
+        low += 1
+
+    def span(idx):
+        """Every word of the span of the rows idx, in blocks."""
+        table = np.zeros((n, 1), dtype=np.uint8)
+        for i in idx[-low:]:
+            table = plus(mults[:, i, :, None], table[:, None, :]).reshape(n, -1)
+        return blocks(span(idx[:-low]), table) if len(idx) > low else [table]
+
+    if q**k - 1 <= budget:
+        for W in span(range(k)):
+            consider(W)
+        return best_w, EXACT, best_v, q**k - 1
+
+    def layer(t):
+        """Number of messages of weight t."""
+        return math.comb(k, t) * (q - 1) ** t
+
+    # layers t = 1, 2, ... while they fit; all q^k - 1 words do not, so t <= k
+    visited, t = 0, 1
+    while visited + layer(t) <= budget:
+        s = next(s for s in range(t, -1, -1) if layer(s) <= _BLOCK)
+        pos, coef = next(_messages(itertools.combinations(range(k), s), s, q))
+        table = words(pos, coef)
+        first = pos[:, 0] if s else np.array([k])  # k: the empty message starts after every c
+        r = t - s
+        for c in range(r - 1, int(first[-1])) if r else (-1,):
+            combos = ((*head, c) for head in itertools.combinations(range(c), r - 1)) if r else [()]
+            for W in blocks((words(*m) for m in _messages(combos, r, q)), table[:, np.searchsorted(first, c + 1) :]):
+                consider(W)
+        visited += layer(t)
         t += 1
-    if t > k:
-        return best_w, EXACT, best_v, visited
     floor = -(-t // 2) if quantum_half else t
-    return min(best_w, floor), LOWER_BOUND, None, visited
-
-
-def _run_search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude):
-    if field.q == 2:
-        rows = [_pack_msb(r, gen.ncols) for r in gen.rows]
-        packed_exclude = None
-        if exclude is not None:
-            ex, piv = exclude
-            packed_exclude = (
-                [_pack_msb(r, gen.ncols) for r in ex.rows],
-                [1 << (gen.ncols - 1 - c) for c in piv],
-            )
-        w, status, wit, visited = _search_gf2(rows, gen.ncols, quantum_half, budget, packed_exclude)
-        witness = _unpack_msb(wit, gen.ncols) if wit is not None else None
-        return w, status, witness, visited
-    return _search_gfq(field, gen, quantum_half, budget, exclude)
+    if best_w < floor:
+        return best_w, EXACT, best_v, visited
+    return floor, LOWER_BOUND, None, visited
 
 
 def _weight_domain(C: LinearCode, wfn: str):
@@ -643,7 +605,7 @@ def min_weight(C: LinearCode, wfn: str = "hamming", budget: int = DEFAULT_BUDGET
     if C.k_dim == 0:
         raise ZeroCode("the zero code has no nonzero codeword")
     field, gen, half, to_public = _weight_domain(C, wfn)
-    w, status, wit, visited = _run_search(field, gen, half, budget, None)
+    w, status, wit, visited = _search(field, gen, half, budget, None)
     witness = to_public(wit) if wit is not None else None
     return DistanceResult(w, status, witness, visited)
 
@@ -664,7 +626,7 @@ def min_weight_diff(
     if genB.nrows >= gen.nrows:
         raise EmptyDifference("codes are equal; the difference is empty")
     exB, _, pivB = fmatrix.rref(genB)
-    w, status, wit, visited = _run_search(field, gen, half, budget, (exB, pivB))
+    w, status, wit, visited = _search(field, gen, half, budget, (exB, pivB))
     witness = to_public(wit) if wit is not None else None
     return DistanceResult(w, status, witness, visited)
 

@@ -7,13 +7,16 @@ polynomial so that serialized codes are portable and subfield embeddings
 are canonical; prime fields use the trivial modulus x.
 
 Multiplication and inversion go through log/antilog tables built once per
-field from schoolbook polynomial arithmetic.
+field from schoolbook polynomial arithmetic; addition reads a q x q table
+built once from the digit encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NotPrime, NotSubfield, UnsupportedSize
 
@@ -158,7 +161,6 @@ class Field:
             raise RuntimeError(f"modulus table entry for GF({p}^{m}) is reducible")
         self._build_tables()
         self._embeddings: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
-        self._np_tables = None
 
     # -- residue <-> coefficient encoding
 
@@ -177,10 +179,6 @@ class Field:
 
     def _build_tables(self):
         p, q = self.p, self.q
-        if p == 2:
-            self._neg = list(range(q))
-        else:
-            self._neg = [self.from_digits(tuple((-d) % p for d in self.digits(r))) for r in range(q)]
         # log/antilog tables; the residue of x (i.e. p) is primitive for
         # every Conway modulus, which the loop below effectively verifies
         gen = self.p if self.m > 1 else self._smallest_primitive_root()
@@ -196,6 +194,20 @@ class Field:
         self._exp = exp
         self._log = log
         self.generator = gen
+        # add digit by digit and mul through the logs, as q x q tables
+        res = np.arange(q)
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        for j in range(self.m):
+            d = res // p**j % p
+            add += (d[:, None] + d) % p * p**j
+            neg += -d % p * p**j
+        log_a = np.array(log)
+        mul = np.array(exp)[(log_a[:, None] + log_a) % (q - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        self._np_tables = (add.astype(np.uint8), mul.astype(np.uint8))
+        self._add = add.tolist()
+        self._neg = neg.tolist()
         # one-step Frobenius r -> r^p
         self._frob1 = [self.pow(r, p) for r in range(q)]
 
@@ -214,13 +226,7 @@ class Field:
     # -- scalar arithmetic on residues
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        return self.from_digits(
-            tuple((x + y) % self.p for x, y in zip(self.digits(a), self.digits(b)))
-        )
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
@@ -336,18 +342,7 @@ class Field:
     # -- numpy tables for the vectorized enumeration engine
 
     def np_tables(self):
-        """(add, mul) tables as q x q uint8 arrays, built on first use."""
-        if self._np_tables is None:
-            import numpy as np
-
-            q = self.q
-            add = np.zeros((q, q), dtype=np.uint8)
-            mul = np.zeros((q, q), dtype=np.uint8)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-            self._np_tables = (add, mul)
+        """(add, mul) tables as q x q uint8 arrays, built with the field."""
         return self._np_tables
 
     def element(self, rep: int) -> FieldElement:

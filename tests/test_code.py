@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 
 from stabforge.code import (
+    _BLOCK,
+    _weight_domain,
     DEFAULT_BUDGET,
     EXACT,
     LOWER_BOUND,
@@ -27,6 +31,7 @@ from stabforge.code import (
     quad_ext,
     quantum_weight,
     sum_code,
+    SymplecticCode,
     symplectic_code,
     symplectic_pair,
     trace_alternating_pair,
@@ -41,7 +46,7 @@ from stabforge.errors import (
     WrongFieldOrder,
     ZeroCode,
 )
-from stabforge.gf import field_make
+from stabforge.gf import field_make, field_of_order
 
 
 def all_codewords(C):
@@ -347,11 +352,22 @@ def test_min_weight_additive_matches_naive_oracle(f4):
         assert C.contains(r.witness)
 
 
-def test_min_weight_witness_is_lex_smallest(f2):
-    C = linear_code(f2, [(1, 1, 0, 0), (0, 0, 1, 1)])
-    r = min_weight(C)
-    candidates = [v for v in all_codewords(C) if any(v) and hamming_weight(v) == r.value]
-    assert r.witness == min(candidates)
+def test_min_weight_witness_is_lex_smallest(f2, f3, f4):
+    for C in (
+        linear_code(f2, [(1, 1, 0, 0), (0, 0, 1, 1)]),
+        linear_code(f3, [(1, 2, 0, 1, 0), (0, 1, 1, 0, 2), (0, 0, 0, 1, 1)]),
+        linear_code(f4, [(1, 0, 2, 3), (0, 1, 3, 2)]),
+    ):
+        r = min_weight(C)
+        candidates = [v for v in all_codewords(C) if any(v) and hamming_weight(v) == r.value]
+        assert r.witness == min(candidates)
+    # B holds the smallest lightest word of A, so the difference must skip it
+    A = linear_code(f2, [(1, 1, 0, 0, 0), (0, 0, 1, 1, 0), (0, 1, 1, 0, 1)])
+    B = linear_code(f2, [(0, 0, 1, 1, 0)])
+    assert min_weight(A).witness == (0, 0, 1, 1, 0)
+    r = min_weight_diff(A, B)
+    outside = all_codewords(A) - all_codewords(B)
+    assert r.witness == min(v for v in outside if hamming_weight(v) == r.value) == (1, 1, 0, 0, 0)
 
 
 def test_min_weight_zero_code_raises(f2):
@@ -445,7 +461,192 @@ def test_partial_budget_bounds_never_exceed_exact_value():
                 if part.status == LOWER_BOUND:
                     assert 1 <= part.value <= exact.value
                 else:
-                    assert part.value == exact.value
+                    assert (part.value, part.witness) == (exact.value, exact.witness)
+
+
+def test_partial_budget_exact_below_floor(hamming74):
+    # [7,4,3]: layers t <= 3 take 4 + 6 + 4 = 14 visits, one short of the span
+    r = min_weight(hamming74, budget=14)
+    full = min_weight(hamming74)
+    assert (r.value, r.status, r.visited) == (3, EXACT, 14)
+    assert r.witness == full.witness
+    # with t <= 2 done the floor is 3, equal to the lightest word found: an
+    # unvisited word of weight 3 could still be smaller, so it stays a bound
+    r = min_weight(hamming74, budget=10)
+    assert (r.value, r.status, r.witness, r.visited) == (3, LOWER_BOUND, None, 10)
+
+
+def _brute_search(field, gen_rows, half, ex_rows, budget):
+    """Reference for the engine: (value, status, witness, visited).
+
+    Visits every message of weight below the first message-weight layer
+    that does not fit the budget (all of them if the span fits), and takes
+    the smallest (weight, word) outside span(ex_rows)."""
+    q, k, n = field.q, len(gen_rows), len(gen_rows[0])
+
+    def word(msg, rows):
+        v = [0] * n
+        for c, row in zip(msg, rows):
+            for j, x in enumerate(row):
+                v[j] = field.add(v[j], field.mul(c, x))
+        return tuple(v)
+
+    def weight(v):
+        if half:
+            return sum(1 for i in range(half) if v[i] or v[half + i])
+        return hamming_weight(v)
+
+    excluded = {word(m, ex_rows) for m in itertools.product(range(q), repeat=len(ex_rows))}
+    if q**k - 1 <= budget:
+        t, visited = k + 1, q**k - 1
+    else:
+        t, visited = 1, 0
+        while visited + math.comb(k, t) * (q - 1) ** t <= budget:
+            visited += math.comb(k, t) * (q - 1) ** t
+            t += 1
+    found = []
+    for w in range(1, min(t, k + 1)):
+        for support in itertools.combinations(range(k), w):
+            for coefs in itertools.product(range(1, q), repeat=w):
+                msg = [0] * k
+                for i, c in zip(support, coefs):
+                    msg[i] = c
+                v = word(msg, gen_rows)
+                if v not in excluded:
+                    found.append((weight(v), v))
+    best = min(found, default=(n + 1, None))
+    floor = -(-t // 2) if half else t
+    if t > k or best[0] < floor:
+        return best[0], EXACT, best[1], visited
+    return floor, LOWER_BOUND, None, visited
+
+
+def _random_case(q, kind, k, n, rng):
+    f = field_of_order(q)
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+    if kind == "quantum":
+        return symplectic_code(f, rows, half=n // 2)
+    if kind == "additive":
+        return additive_code(f, [r[: n // 2] for r in rows], n=n // 2)
+    return linear_code(f, rows, n)
+
+
+def _subcode(A, rng):
+    """A random proper nonzero subcode of A, of the same kind, or None."""
+    kind = "additive" if A.is_additive else ("quantum" if isinstance(A, SymplecticCode) else "hamming")
+    field, gen, _, to_public = _weight_domain(A, "quantum" if kind == "quantum" else "hamming")
+    m = rng.randrange(1, gen.nrows) if gen.nrows > 1 else 0
+    combos = [[rng.randrange(field.q) for _ in range(gen.nrows)] for _ in range(m)]
+    rows = [to_public(tuple(field.dot(c, col) for col in zip(*gen.rows))) for c in combos]
+    if not rows:
+        return None
+    if kind == "additive":
+        B = additive_code(A.field, rows, n=A.n)
+    elif kind == "quantum":
+        B = symplectic_code(A.field, rows, half=A.half)
+    else:
+        B = linear_code(A.field, rows, A.n)
+    return B if 0 < B.k_dim < A.k_dim else None
+
+
+def _check_against_brute_force(A, wfn, budget, B=None):
+    field, gen, half, to_public = _weight_domain(A, wfn)
+    ex_rows = _weight_domain(B, wfn)[1].rows if B is not None else []
+    value, status, witness, visited = _brute_search(field, gen.rows, half, ex_rows, budget)
+    r = min_weight_diff(A, B, wfn, budget) if B is not None else min_weight(A, wfn, budget)
+    expected_witness = to_public(witness) if witness is not None else None
+    assert (r.value, r.status, r.witness, r.visited) == (value, status, expected_witness, visited), (A, B, budget)
+
+
+def test_search_matches_brute_force():
+    rng = random.Random(2024)
+    shapes = {2: (8, 12), 3: (5, 8), 4: (4, 6), 5: (3, 6), 7: (3, 5), 8: (3, 5), 9: (2, 4), 16: (2, 4), 256: (1, 3)}
+    for q, (kmax, nmax) in shapes.items():
+        kinds = ["hamming", "quantum"] + (["additive"] if q in (4, 9, 16, 256) else [])
+        for kind in kinds:
+            for _ in range(6):
+                n = 2 * rng.randrange(1, nmax // 2 + 1) if kind != "hamming" else rng.randrange(1, nmax + 1)
+                A = _random_case(q, kind, rng.randrange(1, kmax + 1), n, rng)
+                if A.k_dim == 0:
+                    continue
+                wfn = "quantum" if kind == "quantum" else "hamming"
+                span = _weight_domain(A, wfn)[0].q ** _weight_domain(A, wfn)[1].nrows - 1
+                for B in (None, _subcode(A, rng)):
+                    for budget in (span, span - 1, rng.randrange(0, span)):
+                        _check_against_brute_force(A, wfn, budget, B)
+
+
+def test_search_matches_brute_force_across_blocks():
+    """Spans and layers larger than one block of _BLOCK words."""
+    rng = random.Random(77)
+    f2, f3, f16, f256 = (field_of_order(q) for q in (2, 3, 16, 256))
+    assert 2**13 > _BLOCK and 3**8 > _BLOCK and math.comb(16, 5) > _BLOCK
+    A = linear_code(f2, [[rng.randrange(2) for _ in range(16)] for _ in range(13)])
+    for B in (None, _subcode(A, rng)):
+        _check_against_brute_force(A, "hamming", 2**13 - 1, B)
+    S = symplectic_code(f3, [[rng.randrange(3) for _ in range(10)] for _ in range(8)])
+    _check_against_brute_force(S, "quantum", 3**8 - 1)
+    _check_against_brute_force(S, "quantum", 3**8 - 2)
+    # finished layers whose words span several table slices
+    L = linear_code(f2, [[rng.randrange(2) for _ in range(24)] for _ in range(16)])
+    layers = sum(math.comb(16, t) for t in range(1, 6))
+    _check_against_brute_force(L, "hamming", layers)
+    _check_against_brute_force(L, "hamming", layers, _subcode(L, rng))
+    G = linear_code(f16, [[rng.randrange(16) for _ in range(5)] for _ in range(4)])
+    _check_against_brute_force(G, "hamming", 16**4 - 2)
+    H = linear_code(f256, [[rng.randrange(256) for _ in range(3)] for _ in range(2)])
+    _check_against_brute_force(H, "hamming", 256**2 - 1)
+
+
+def test_search_finds_planted_words_at_layer_edges():
+    """A light word whose message support ends a table slice, or starts the
+    last prefix, is found: layered walks split each layer into prefixes
+    and table slices, and a missed slice would lose it."""
+    rng = random.Random(9)
+
+    def planted(field, k, extra, support):
+        # [I | P] with sum_{i in support} row_i = (1 on support | 0)
+        P = [[rng.randrange(field.q) for _ in range(extra)] for _ in range(k)]
+        for j in range(extra):
+            acc = 0
+            for i in support[:-1]:
+                acc = field.add(acc, P[i][j])
+            P[support[-1]][j] = field.neg(acc)
+        rows = [[int(i == r) for i in range(k)] + P[r] for r in range(k)]
+        return linear_code(field, rows), tuple(int(i in support) for i in range(k)) + (0,) * extra
+
+    f2, f16, f256 = (field_of_order(q) for q in (2, 16, 256))
+    layers = sum(math.comb(16, t) for t in range(1, 6))  # t = 5 splits as 1 + 4
+    for support in ((11, 12, 13, 14, 15), (0, 1, 2, 3, 4), (0, 12, 13, 14, 15), (10, 11, 12, 14, 15)):
+        C, word = planted(f2, 16, 40, support)
+        r = min_weight(C, budget=layers)
+        assert (r.value, r.status, r.witness, r.visited) == (5, EXACT, word, layers)
+    for support in ((1, 2, 3), (0, 2, 3)):  # GF(16), k = 4: t = 3 splits as 1 + 2
+        C, word = planted(f16, 4, 8, support)
+        r = min_weight(C, budget=16**4 - 2)
+        assert (r.value, r.status, r.witness) == (3, EXACT, word)
+    C, word = planted(f256, 17, 3, (16,))  # GF(256), k = 17: no table fits a block
+    r = min_weight(C, budget=17 * 255)
+    assert (r.value, r.status, r.witness, r.visited) == (1, EXACT, word, 17 * 255)
+
+
+def test_search_memory_stays_within_blocks():
+    """Neither a finished layer nor the whole span is ever materialized:
+    [80,40] at 2^20 visits about 7.6e5 words (about 60 MB as bytes), and
+    [40,20] exhaustive visits 2^20 - 1 words (about 40 MB)."""
+    rng = random.Random(5)
+    f2 = field_make(2, 1)
+    for (n, k), budget in (((80, 40), 1 << 20), ((40, 20), 1 << 20)):
+        C = linear_code(f2, [[rng.randrange(2) for _ in range(n)] for _ in range(k)])
+        assert C.k_dim == k
+        tracemalloc.start()
+        try:
+            r = min_weight(C, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.visited > 7 * 10**5
+        assert peak < 4 * 2**20, f"[{n},{k}] peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_partial_budget_bounds_quantum_and_additive():
