@@ -8,6 +8,14 @@ entanglement-assisted ebit count rank(H H^dagger).
 
 Every distance that reaches a CodeParams carries its enumeration status;
 bound-only values are never silently upgraded.
+
+Purity is decided on the stabilizer side: a code is pure when no nonzero
+stabilizer word is lighter than d.  A stabilizer C lies in its dual D, so
+d(D) = min(d(C), d(D minus C)) and the code is pure iff d(C) >= d; for CSS,
+min(d(C1), d(C2)) = min(d(C1^perp), d(C2^perp), d).  Under a partial
+budget an exact stabilizer-side value below d is impure, an exact d with
+no stabilizer-side value (exact or floor) below it is pure, and anything
+else is unknown.
 """
 
 from __future__ import annotations
@@ -116,11 +124,30 @@ class StabilizerCode:
         return iter((self, self.params))
 
 
+def _stabilizer_min(S: LinearCode, wfn: str, budget: int) -> DistanceResult | None:
+    """Minimum weight of the stabilizer-side code S; None if S is zero."""
+    return min_weight(S, wfn, budget) if S.k_dim else None
+
+
+def _purity(*pairs: tuple[DistanceResult, DistanceResult | None]) -> str:
+    """Verdict from (distance, stabilizer-side minimum) pairs, the minimum
+    None for a zero code: pure iff no minimum is below its distance.  Sound
+    under any budget, since neither value exceeds the true one."""
+    pairs = [(d, s) for d, s in pairs if s is not None]
+    if any(s.is_exact and s.value < d.value for d, s in pairs):
+        return IMPURE
+    if all(d.is_exact and s.value >= d.value for d, s in pairs):
+        return PURE
+    return UNKNOWN
+
+
 def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
     """Certify a symplectic self-orthogonal code as an [[n, k, d]]_q code.
 
     k = n - dim C and d is the minimum quantum weight of the symplectic
-    dual minus the code itself (of the dual alone when k = 0).
+    dual D minus the code itself (of the dual alone when k = 0).  Since
+    d(D) = min(d(C), d), the code is pure iff d(C) >= d: purity walks C,
+    of dimension n - k, and not D, of dimension n + k.
     """
     witness = C.self_orthogonality_witness()
     if witness is not None:
@@ -131,11 +158,7 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     tag = f"certify_stabilizer(C:{code_digest(C)})"
     if k > 0:
         d = min_weight_diff(D, C, "quantum", budget)
-        dual_min = min_weight(D, "quantum", budget)
-        if d.status == EXACT and dual_min.status == EXACT:
-            pure = PURE if dual_min.value == d.value else IMPURE
-        else:
-            pure = UNKNOWN
+        pure = _purity((d, _stabilizer_min(C, "quantum", budget)))
     else:
         d = min_weight(C, "quantum", budget)
         pure = PURE
@@ -171,14 +194,27 @@ def _merge_status(*results: DistanceResult) -> str:
     return EXACT if all(r.status == EXACT for r in results) else LOWER_BOUND
 
 
+def _css_walks(C1, C2, D1, D2, budget: int):
+    """(wt(C2 minus D1), wt(C1 minus D2), d(D1), d(D2)) for D_i = C_i^perp,
+    the minima None for a zero D_i; when C1 == C2 each is walked once."""
+    same = C1 == C2
+    w21 = min_weight_diff(C2, D1, "hamming", budget)
+    w12 = w21 if same else min_weight_diff(C1, D2, "hamming", budget)
+    m1 = _stabilizer_min(D1, "hamming", budget)
+    m2 = m1 if same else _stabilizer_min(D2, "hamming", budget)
+    return w21, w12, m1, m2
+
+
 def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
     """CSS construction from C1^perp_E contained in C2.
 
     The stabilizer is the block code (C1^perp | 0) + (0 | C2^perp), which the
     nesting makes symplectic self-orthogonal.  For k > 0 its parameters
     [[n, k1 + k2 - n, min(wt(C2 minus C1^perp), wt(C1 minus C2^perp))]]
-    come from the two classical coset distances; purity compares them with
-    d(C1) and d(C2).  For k = 0 the block is certified directly.
+    come from the two classical coset distances, walked once when C1 == C2.
+    Since min(d(C1), d(C2)) = min(d(C1^perp), d(C2^perp), d), the code is
+    pure iff d(C1^perp) >= d and d(C2^perp) >= d; each nonzero dual is
+    walked once.  For k = 0 the block is certified directly.
     """
     _check_linear_pair(C1, C2)
     n = C1.n
@@ -195,21 +231,14 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     if k == 0:
         stab = certify_stabilizer(block, budget)
         return replace(stab, params=replace(stab.params, provenance=tag + "|k0-selfdual"))
-    w21 = min_weight_diff(C2, D1, "hamming", budget)
-    w12 = min_weight_diff(C1, D2, "hamming", budget)
+    w21, w12, m1, m2 = _css_walks(C1, C2, D1, D2, budget)
     if w21.value <= w12.value:
         sym_wit = tuple(w21.witness) + (0,) * n if w21.witness else None
     else:
         sym_wit = (0,) * n + tuple(w12.witness) if w12.witness else None
-    d = DistanceResult(
-        min(w21.value, w12.value), _merge_status(w21, w12), sym_wit, w21.visited + w12.visited
-    )
-    d1 = min_weight(C1, budget=budget)
-    d2 = min_weight(C2, budget=budget)
-    if _merge_status(d, d1, d2) == EXACT:
-        pure = PURE if d.value == min(d1.value, d2.value) else IMPURE
-    else:
-        pure = UNKNOWN
+    visited = w21.visited if w12 is w21 else w21.visited + w12.visited
+    d = DistanceResult(min(w21.value, w12.value), _merge_status(w21, w12), sym_wit, visited)
+    pure = _purity((d, m1), (d, m2))
     params = CodeParams(q=f.q, n=n, k=k, d=d, pure=pure, provenance=tag)
     phases = hermitian_phases(f, block.gen.rows)
     return StabilizerCode(code=block, dual=dual(block, "symplectic"), params=params, phases=phases)
@@ -319,7 +348,11 @@ def css_aqc(
     """Asymmetric CSS-like construction under a chosen inner product.
 
     d_z is the larger of the two coset distances, d_x the smaller; the
-    result is pure exactly when {d_z, d_x} = {d(C1), d(C2)}.
+    result is pure exactly when {d_z, d_x} = {d(C1), d(C2)}.  As
+    C1^perp < C2 and C2^perp < C1, that holds iff
+    d(C1^perp) >= wt(C2 minus C1^perp) and d(C2^perp) >= wt(C1 minus C2^perp),
+    so purity walks the duals, each nonzero one once.  When C1 == C2 the
+    single coset distance is walked once.
     """
     if ip not in AQC_INNER_PRODUCTS:
         raise StabforgeError(f"inner product must be one of {AQC_INNER_PRODUCTS}")
@@ -328,15 +361,9 @@ def css_aqc(
     if not is_subcode(D1, C2):
         raise NotNested(f"C1^perp ({ip}) is not contained in C2")
     D2 = dual(C2, ip)
-    w21 = min_weight_diff(C2, D1, "hamming", budget)
-    w12 = min_weight_diff(C1, D2, "hamming", budget)
+    w21, w12, m1, m2 = _css_walks(C1, C2, D1, D2, budget)
     dz, dx = (w21, w12) if w21.value >= w12.value else (w12, w21)
-    d1 = min_weight(C1, budget=budget)
-    d2 = min_weight(C2, budget=budget)
-    if _merge_status(w21, w12, d1, d2) == EXACT:
-        pure = PURE if sorted((dz.value, dx.value)) == sorted((d1.value, d2.value)) else IMPURE
-    else:
-        pure = UNKNOWN
+    pure = _purity((w21, m1), (w12, m2))
     return CodeParams(
         q=C1.field.q,
         n=C1.n,

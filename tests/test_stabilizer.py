@@ -231,6 +231,46 @@ def test_css_shor_blocks_are_impure(f2):
     assert certify_stabilizer(stab.code).params.pure == IMPURE
 
 
+def test_purity_walks_each_domain_once(monkeypatch, f2, hamming74):
+    # every enumeration, as (function, dimension of the code it walks)
+    import stabforge.stabilizer as stabilizer
+
+    calls = []
+    for name in ("min_weight", "min_weight_diff"):
+        def record(C, *args, _name=name, _fn=getattr(stabilizer, name), **kw):
+            calls.append((_name, C.k_dim))
+            return _fn(C, *args, **kw)
+
+        monkeypatch.setattr(stabilizer, name, record)
+
+    # C1 == C2: one coset walk over RM(2,4) (dimension 11) and one purity
+    # walk over its dual RM(1,4) (dimension 5)
+    rm24 = linear_code(f2, reed_muller_rows(2, 4))
+    qrm = css(rm24, rm24)
+    assert format_params(qrm.params) == "[[16,6,4]]_2" and qrm.params.pure == PURE
+    assert calls == [("min_weight_diff", 11), ("min_weight", 5)]
+    calls.clear()
+    css_aqc(rm24, rm24)
+    assert calls == [("min_weight_diff", 11), ("min_weight", 5)]
+
+    # the symplectic dual D (dimension 22) once, the stabilizer (10) once
+    calls.clear()
+    assert certify_stabilizer(qrm.code).params.pure == PURE
+    assert calls == [("min_weight_diff", 22), ("min_weight", 10)]
+
+    # no purity walk of a zero code: the trivial stabilizer, and C1^perp of
+    # C1 = F_2^7 beside the Hamming code (whose dual, the simplex code, has
+    # dimension 3)
+    calls.clear()
+    assert certify_stabilizer(symplectic_code(f2, [], half=3)).params.pure == PURE
+    assert calls == [("min_weight_diff", 6)]
+    full = linear_code(f2, [tuple(int(i == j) for j in range(7)) for i in range(7)])
+    for construct in (css, css_aqc):
+        calls.clear()
+        construct(full, hamming74)
+        assert calls == [("min_weight_diff", 4), ("min_weight_diff", 7), ("min_weight", 3)]
+
+
 # -- Steane enlargement ------------------------------------------------------------
 
 
