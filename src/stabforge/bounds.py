@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadInput, HypothesisViolated
-from .gf import _is_prime_power
+from .gf import _prime_power
 from .stabilizer import EXACT, PURE, CodeParams
 
 NOT_CERTIFIABLE = "not certifiable from bound-only distance"
@@ -113,7 +113,7 @@ def hamming(p: CodeParams) -> BoundReport:
 def gv_exists(q: int, n: int, k: int, d: int) -> BoundReport:
     """Existence of a pure [[n,k,d]]_q code when the strict inequality
     (q^(n-k+2)-1)/(q^2-1) > sum_{j=1}^{d-1} (q^2-1)^(j-1) C(n,j) holds."""
-    if not _is_prime_power(q):
+    if _prime_power(q) is None:
         raise HypothesisViolated(f"q = {q} is not a prime power")
     if not n > k:
         raise HypothesisViolated(f"requires n > k, got n = {n}, k = {k}")
@@ -154,7 +154,7 @@ def aqmds_feasible(q: int, n: int, j: int, k: int) -> tuple[bool, int | None]:
     {d_z, d_x} = {n-k-j+1, k+1} exists, per the seven-case classification
     (assuming the MDS conjecture).  Returns (feasible, first matching case).
     """
-    if not _is_prime_power(q):
+    if _prime_power(q) is None:
         raise BadInput(f"q = {q} is not a prime power")
     if n < 2:
         raise BadInput(f"requires n >= 2, got {n}")

@@ -78,13 +78,15 @@ def _budget(args) -> int:
 
 
 def _budget_log2(text: str) -> int:
-    """argparse type of --budget: an integer >= 0."""
+    """argparse type of --budget: an integer in [0, 64]; 2^64 visits is
+    beyond any enumeration that can finish, and larger exponents would only
+    build huge integers."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    if not 0 <= value <= 64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 64], got {text!r}")
     return value
 
 

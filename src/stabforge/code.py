@@ -129,10 +129,6 @@ def quad_ext_of(sub: Field) -> QuadExt:
 # pairings
 
 
-def euclidean_pair(f: Field, u, v) -> int:
-    return f.dot(u, v)
-
-
 def hermitian_pair(f: Field, u, v) -> int:
     """sum u_i v_i^s with s = sqrt(q); requires square order."""
     if f.m % 2:
@@ -207,11 +203,6 @@ class LinearCode:
     @property
     def is_additive(self) -> bool:
         return self.linearity == ADDITIVE
-
-    @property
-    def size_exponent(self) -> int:
-        """log over the linearity field of |C|."""
-        return self.k_dim
 
     def contains(self, v) -> bool:
         if self.is_additive:

@@ -2,8 +2,9 @@
 
 Matrices are immutable row tuples of integer residues.  GF(2) elimination
 runs on machine-word bitsets (one int per row, bit j = column j); other
-fields use table-driven scalar arithmetic.  Sizes here are small; the
-heavy enumeration loops live in `code`.
+fields read rows of the field's add and mul tables, so scaling a row or
+subtracting a multiple of one is one list comprehension of lookups.  Sizes
+here are small; the heavy enumeration loops live in `code`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ class FqMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
     def __iter__(self):
         return iter(self.rows)
@@ -85,8 +83,8 @@ def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     return mat[:r], pivots
 
 
-def _rref_gfq(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    mat = [r[:] for r in rows]
+def _rref_gfq(field: Field, mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    add, mul, neg, inv = field.tables()
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -96,13 +94,14 @@ def _rref_gfq(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[lis
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        scale = field.inv(mat[r][c])
-        if scale != 1:
-            mat[r] = [field.mul(scale, x) for x in mat[r]]
+        if mat[r][c] != 1:
+            s = mul[inv[mat[r][c]]]
+            mat[r] = [s[x] for x in mat[r]]
+        row = mat[r]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                m = mul[neg[mat[i][c]]]
+                mat[i] = [add[x][m[y]] for x, y in zip(mat[i], row)]
         pivots.append(c)
         r += 1
     return mat[:r], pivots
@@ -125,12 +124,12 @@ def rank(M: FqMatrix) -> int:
 
 def reduce_against(R: FqMatrix, pivots: tuple[int, ...], v) -> tuple[int, ...]:
     """Residual of v after elimination by an rref basis; zero iff in span."""
-    f = R.field
+    add, mul, neg, _ = R.field.tables()
     v = list(v)
     for row, c in zip(R.rows, pivots):
         if v[c]:
-            coef = v[c]
-            v = [f.sub(x, f.mul(coef, y)) for x, y in zip(v, row)]
+            m = mul[neg[v[c]]]
+            v = [add[x][m[y]] for x, y in zip(v, row)]
     return tuple(v)
 
 
@@ -140,7 +139,7 @@ def in_span(R: FqMatrix, pivots: tuple[int, ...], v) -> bool:
 
 def kernel(M: FqMatrix) -> FqMatrix:
     """Basis rows of the right null space, in canonical rref."""
-    f = M.field
+    neg = M.field.tables()[2]
     R, rk, pivots = rref(M)
     pivot_set = set(pivots)
     free = [c for c in range(M.ncols) if c not in pivot_set]
@@ -149,9 +148,9 @@ def kernel(M: FqMatrix) -> FqMatrix:
         v = [0] * M.ncols
         v[fc] = 1
         for row, pc in zip(R.rows, pivots):
-            v[pc] = f.neg(row[fc])
+            v[pc] = neg[row[fc]]
         basis.append(tuple(v))
-    K = FqMatrix(f, tuple(basis), M.ncols)
+    K = FqMatrix(M.field, tuple(basis), M.ncols)
     return rref(K)[0]
 
 
@@ -172,7 +171,8 @@ def matmul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
 
 def entrywise_frob(M: FqMatrix, k: int = 1) -> FqMatrix:
     f = M.field
-    return FqMatrix(f, tuple(tuple(f.frob(x, k) for x in r) for r in M.rows), M.ncols)
+    image = [f.frob(x, k) for x in f.elements()]
+    return FqMatrix(f, tuple(tuple(image[x] for x in r) for r in M.rows), M.ncols)
 
 
 def stack(A: FqMatrix, B: FqMatrix) -> FqMatrix:

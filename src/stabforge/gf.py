@@ -6,9 +6,13 @@ degree first.  Every extension field is built modulo a fixed Conway
 polynomial so that serialized codes are portable and subfield embeddings
 are canonical; prime fields use the trivial modulus x.
 
-Multiplication and inversion go through log/antilog tables built once per
-field from schoolbook polynomial arithmetic; addition reads a q x q table
-built once from the digit encoding.
+The arithmetic of a field is its q x q addition and multiplication tables,
+built once at construction, with the negation, inverse and Frobenius
+lookups read off them.  Addition works digit by digit; prime fields
+multiply as a*b mod p, and extension fields fill the multiplication table
+from the powers of x, each one x times the last reduced by the modulus.
+Every scalar operation is one table lookup, or square-and-multiply for
+powers.
 """
 
 from __future__ import annotations
@@ -53,17 +57,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _is_prime_power(q: int) -> bool:
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p^m, or None when q is not a prime power."""
     if q < 2:
-        return False
+        return None
     p = 2
     while p * p <= q and q % p:
         p += 1
     if q % p:
-        p = q
+        p = q  # q itself is prime
+    m = 0
     while q % p == 0:
         q //= p
-    return q == 1
+        m += 1
+    return (p, m) if q == 1 else None
 
 
 # -- polynomial helpers over GF(p), coefficient tuples, lowest degree first
@@ -74,27 +81,6 @@ def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return c[:i]
-
-
-def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """(a * b) mod `mod` over GF(p); `mod` is monic."""
-    m = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce modulo the monic polynomial
-    for deg in range(len(out) - 1, m - 1, -1):
-        c = out[deg]
-        if c == 0:
-            continue
-        out[deg] = 0
-        for j in range(m + 1):
-            out[deg - m + j] = (out[deg - m + j] - c * mod[j]) % p
-    out = out[:m] if m else []
-    return _poly_trim(tuple(out))
 
 
 def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
@@ -178,50 +164,37 @@ class Field:
         return r
 
     def _build_tables(self):
-        p, q = self.p, self.q
-        # log/antilog tables; the residue of x (i.e. p) is primitive for
-        # every Conway modulus, which the loop below effectively verifies
-        gen = self.p if self.m > 1 else self._smallest_primitive_root()
-        exp = [0] * max(q - 1, 1)
-        log = [0] * q
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            log[v] = i
-            v = self.mul_schoolbook(v, gen)
-        if v != 1 or (q > 2 and len(set(exp)) != q - 1):
-            raise RuntimeError(f"generator {gen} is not primitive in GF({q})")
-        self._exp = exp
-        self._log = log
-        self.generator = gen
-        # add digit by digit and mul through the logs, as q x q tables
+        p, m, q = self.p, self.m, self.q
         res = np.arange(q)
-        add = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for j in range(self.m):
-            d = res // p**j % p
+        add = np.zeros((q, q), dtype=np.int16)
+        neg = np.zeros(q, dtype=np.int16)
+        for j in range(m):
+            d = (res // p**j % p).astype(np.int16)
             add += (d[:, None] + d) % p * p**j
             neg += -d % p * p**j
-        log_a = np.array(log)
-        mul = np.array(exp)[(log_a[:, None] + log_a) % (q - 1)]
-        mul[0, :] = mul[:, 0] = 0
-        self._np_tables = (add.astype(np.uint8), mul.astype(np.uint8))
         self._add = add.tolist()
-        self._neg = neg.tolist()
+        if m == 1:
+            mul = res[:, None] * res % p
+        else:
+            # x * v shifts the digits of v up one place; the digit c carried
+            # out of degree m - 1 comes back as -c * (modulus - x^m)
+            top = p ** (m - 1)
+            fold = [sum(-c * a % p * p**j for j, a in enumerate(self.modulus[:m])) for c in range(p)]
+            exp = [1]
+            for _ in range(q - 2):
+                v = exp[-1]
+                exp.append(self._add[v % top * p][fold[v // top]])
+            if 0 in exp or len(set(exp)) != q - 1:
+                raise RuntimeError(f"x is not primitive in GF({q})")
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            mul = np.array(exp)[(log[:, None] + log) % (q - 1)]
+            mul[0, :] = mul[:, 0] = 0
+        inv = np.argmax(mul == 1, axis=1)  # inv[0] = 0 is never read
+        self._np_tables = (add.astype(np.uint8), mul.astype(np.uint8))
+        self._mul, self._neg, self._inv = mul.tolist(), neg.tolist(), inv.tolist()
         # one-step Frobenius r -> r^p
         self._frob1 = [self.pow(r, p) for r in range(q)]
-
-    def _smallest_primitive_root(self) -> int:
-        if self.p == 2:
-            return 1
-        for g in range(2, self.p):
-            v, seen = g % self.p, 1
-            while v != 1:
-                v = v * g % self.p
-                seen += 1
-            if seen == self.p - 1:
-                return g
-        raise RuntimeError("no primitive root found")
 
     # -- scalar arithmetic on residues
 
@@ -232,35 +205,29 @@ class Field:
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def mul_schoolbook(self, a: int, b: int) -> int:
-        """Polynomial multiply mod the modulus; used to bootstrap and to
-        cross-check the log tables."""
-        if self.m == 1:
-            return a * b % self.p
-        prod = _poly_mulmod(self.digits(a), self.digits(b), self.modulus, self.p)
-        return self.from_digits(prod + (0,) * (self.m - len(prod)))
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self._mul[a][self.inv(b)]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        mul, acc = self._mul, 1
+        while e:
+            if e & 1:
+                acc = mul[acc][a]
+            a = mul[a][a]
+            e >>= 1
+        return acc
 
     def frob(self, a: int, k: int = 1) -> int:
         """a^(p^k); the Frobenius automorphism iterated k times."""
@@ -279,9 +246,9 @@ class Field:
 
     def dot(self, u, v) -> int:
         """Euclidean dot product of residue sequences."""
-        acc = 0
+        add, mul, acc = self._add, self._mul, 0
         for x, y in zip(u, v):
-            acc = self.add(acc, self.mul(x, y))
+            acc = add[acc][mul[x][y]]
         return acc
 
     # -- subfields
@@ -339,11 +306,17 @@ class Field:
         _, back = self.embedding(sub)
         return back[acc]
 
-    # -- numpy tables for the vectorized enumeration engine
+    # -- the tables themselves, for vectorized and row-wise callers
 
     def np_tables(self):
         """(add, mul) tables as q x q uint8 arrays, built with the field."""
         return self._np_tables
+
+    def tables(self):
+        """(add, mul, neg, inv) as the nested lists the scalar methods read;
+        `mul[a]` is the row of products with a, so one lookup per entry
+        scales a vector."""
+        return self._add, self._mul, self._neg, self._inv
 
     def element(self, rep: int) -> FieldElement:
         return FieldElement(self, rep % self.q)
@@ -375,19 +348,10 @@ def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q <= 256."""
     if q < 2:
         raise UnsupportedSize(f"no field of order {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q  # q itself is prime
-    m = 0
-    n = q
-    while n % p == 0 and n > 1:
-        n //= p
-        m += 1
-    if n != 1:
+    pm = _prime_power(q)
+    if pm is None:
         raise NotPrime(f"{q} is not a prime power")
-    return field_make(p, m)
+    return field_make(*pm)
 
 
 @dataclass(frozen=True)

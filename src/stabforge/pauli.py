@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadAlphabet, BadRange, BadSyntax, ShapeMismatch
-from .gf import Field, field_make
+from .errors import BadAlphabet, BadRange, BadSyntax, NotPrime, ShapeMismatch
+from .gf import Field, _prime_power, field_make
 
 _LETTER_TO_AB = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _AB_TO_LETTER = {v: k for k, v in _LETTER_TO_AB.items()}
@@ -111,17 +111,15 @@ def error_set_size(n: int, delta: int, q: int, with_phases: bool = False) -> int
     The bar variant (default) counts modulo phases: sum of (q^2-1)^j C(n,j).
     With phases the count gains a factor 4 for qubits and p for qudits.
     """
+    pm = _prime_power(q)
+    if pm is None:
+        raise NotPrime(f"{q} is not a prime power")
     if not 0 <= delta <= n:
         raise BadRange(f"delta must lie in [0, {n}], got {delta}")
     total = sum((q * q - 1) ** j * math.comb(n, j) for j in range(delta + 1))
     if not with_phases:
         return total
-    if q == 2:
-        return 4 * total
-    p = 2
-    while q % p:
-        p += 1
-    return p * total
+    return (4 if q == 2 else pm[0]) * total
 
 
 def pauli_parse(s: str, field: Field) -> PauliOperator:

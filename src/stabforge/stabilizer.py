@@ -54,7 +54,7 @@ from .errors import (
     StabforgeError,
     WrongFieldOrder,
 )
-from .gf import _is_prime_power
+from .gf import _prime_power, field_of_order
 from .pauli import hermitian_phases, pauli_format, pauli_from_vector
 
 PURE = "pure"
@@ -84,7 +84,7 @@ class CodeParams:
     ebits: int | None = None
 
     def __post_init__(self):
-        if not _is_prime_power(self.q):
+        if _prime_power(self.q) is None:
             raise StabforgeError(f"q = {self.q} is not a prime power")
         if not 0 <= self.k <= self.n:
             raise StabforgeError(f"invalid logical dimension k={self.k} for n={self.n}")
@@ -430,8 +430,6 @@ def _witness_string(p: CodeParams) -> str | None:
     vec = p.d.witness
     if len(vec) != 2 * p.n:
         return None
-    from .gf import field_of_order
-
     try:
         field = field_of_order(p.q)
     except StabforgeError:

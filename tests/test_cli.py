@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from stabforge.cli import run, worker_cap
+from stabforge.cli import _budget_log2, run, worker_cap
 from stabforge.code import dump_code, dual, load_code, parse_code, save_code
 from stabforge.gf import field_make
 
@@ -197,6 +199,19 @@ def test_bad_usage_exits_2(capsys):
     assert run(["bogus"]) == 2
     assert run([]) == 2
     assert run(["bounds", "--params", "5,1,3,2"]) == 2  # no bound selected
+
+
+def test_budget_log2_range():
+    assert _budget_log2("0") == 0 and _budget_log2("64") == 64
+    # 1 << 100000000000 would need about 12 GB; the type rejects it first
+    for text in ("-1", "65", "100000000000", "x", "2.5"):
+        with pytest.raises(argparse.ArgumentTypeError, match=r"expected an integer in \[0, 64\]"):
+            _budget_log2(text)
+
+
+def test_budget_above_64_exits_2(files, capsys):
+    assert run(["certify", "--in", str(files["ex512"]), "--budget", "65"]) == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_malformed_file_diagnostic_names_line(files, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from stabforge.fmatrix import (
     matmul,
     matrix,
     rank,
+    reduce_against,
     rref,
     transpose,
     zeros,
@@ -170,3 +172,54 @@ def test_matmul_and_transpose():
     I = identity(F4, 2)
     assert matmul(A, I).rows == A.rows
     assert transpose(transpose(A)).rows == A.rows
+
+
+# sha256 of every output of `golden_outputs(q)`, pinned before the GF(q)
+# elimination moved from per-entry Field calls to reading table rows
+GOLDEN = {
+    2: "80961c222ed3f978f85224bf2324026a72728d7f16d0899bd9c8b7e87c257bcc",
+    3: "84dfe4d44cfed25c8d0ca402717360c0e879f52d84ad3a5406c821b47f7c37a1",
+    4: "11aa2add1158fbc7b8f4d8e0b4e4347f5877962f8c573a693b91949301104c7f",
+    5: "bfe3bfe419d5c59298d8dc7ed5576edac43e8a8db30f1c1772c973c51b5014e5",
+    7: "03541226a1cd1915dfe3db17b4424a283f7aef9a4ca603a2623772565c2fbe60",
+    8: "b7b33c55e62b4943334afa2dc7b585547215ef1066759e51bf58e44ae2628159",
+    9: "71e93678e514da63c1fb3c880f794614c18533156c132ad62135068a7c6fdb9f",
+    16: "495fe74255fedd13d6d3b84f2df78841ef4e097aa2572da26fc704aa503ab4e6",
+    25: "a3933875024e094606f0f41723de712843d334664d6a1b7a5f881dca1f8d2c7b",
+    27: "b3970e5075cac6a3d521ebc89e13ebaf89a5ef2babf0af7edf51925d6c6c25b6",
+    243: "9ca0482fc4dae54c6883b00bf4872a61f2df5b54c3b44677d89b78215cd0e37d",
+    256: "a85117958bdb33ad5f0ca19f26e10917f360d8aacf120b9956bad4f8dfe3a88d",
+}
+GOLDEN_SHAPES = ((1, 1), (1, 6), (3, 3), (4, 9), (9, 4), (8, 16), (16, 32), (32, 64))
+
+
+def golden_outputs(q):
+    """rref, kernel, reduce_against, in_span, matmul and intersect on seeded
+    random matrices over GF(q): full-rank and rank-deficient ones (a random
+    r x k times k x c product, k < min(r, c)), with zero rows and columns."""
+    field = field_of_order(q)
+    rng = random.Random(q)
+    out = []
+    for r, c in GOLDEN_SHAPES:
+        k = max(1, min(r, c) // 2)
+        mats = [random_matrix(field, r, c, rng),
+                matmul(random_matrix(field, r, k, rng), random_matrix(field, k, c, rng)),
+                matrix(field, [[0] * c] + [[rng.randrange(q) if j % 3 else 0 for j in range(c)]
+                                           for _ in range(r - 1)], c)]
+        for M in mats:
+            R, rk, piv = rref(M)
+            out.append((R.rows, rk, piv, kernel(M).rows))
+            for v in (random_matrix(field, 1, c, rng).rows[0], M.rows[-1]):
+                out.append((reduce_against(R, piv, v), in_span(R, piv, v)))
+            out.append(matmul(M, random_matrix(field, c, max(1, c // 3), rng)).rows)
+            shared = random_matrix(field, max(1, r // 4), c, rng).rows
+            A = matrix(field, random_matrix(field, max(1, r // 2), c, rng).rows + shared, c)
+            B = matrix(field, M.rows[: r // 2] + shared, c)
+            out.append(intersect(A, B).rows)
+    return out
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN))
+def test_gfq_linear_algebra_golden(q):
+    got = hashlib.sha256(repr(golden_outputs(q)).encode()).hexdigest()
+    assert got == GOLDEN[q]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from stabforge.errors import NotPrime, NotSubfield, UnsupportedSize
@@ -28,6 +31,41 @@ def mul_oracle(F, a, b):
     return F.from_digits(prod)
 
 
+def pow_oracle(F, a, e):
+    """a^e for e >= 0 by schoolbook square-and-multiply."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = mul_oracle(F, acc, a)
+        a = mul_oracle(F, a, a)
+        e >>= 1
+    return acc
+
+
+def sub_oracle(F, a, b):
+    return F.from_digits([(x - y) % F.p for x, y in zip(F.digits(a), F.digits(b))])
+
+
+PRIMES = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
+# (p, m) of every supported order q = p^m <= 256
+FIELDS = sorted(((p, m) for p in PRIMES for m in range(1, 9) if p**m <= 256), key=lambda pm: pm[0] ** pm[1])
+
+
+def oracle_pairs(F):
+    """Every pair of residues for q <= 64; a seeded sample above that."""
+    if F.q <= 64:
+        return list(itertools.product(F.elements(), repeat=2))
+    rng = random.Random(F.q)
+    return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(600)]
+
+
+def oracle_elements(F):
+    """Every residue for q <= 64; a seeded sample, 0 and 1 included, above."""
+    if F.q <= 64:
+        return list(F.elements())
+    return [0, 1] + random.Random(F.q).sample(range(2, F.q), 14)
+
+
 def test_prime_field_trivial_modulus():
     F2 = field_make(2, 1)
     assert F2.q == 2 and F2.modulus == (0, 1)
@@ -49,21 +87,49 @@ def test_gf9_modulus_irreducible_by_evaluation():
         assert (x * x + 2 * x + 2) % 3 != 0
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,m", FIELDS)
 def test_table_multiplication_matches_schoolbook(p, m):
     F = field_make(p, m)
-    for a in F.elements():
-        for b in F.elements():
-            assert F.mul(a, b) == mul_oracle(F, a, b)
+    for a, b in oracle_pairs(F):
+        assert F.mul(a, b) == mul_oracle(F, a, b)
 
 
-@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (2, 4)])
+@pytest.mark.parametrize("p,m", FIELDS)
 def test_inverses(p, m):
     F = field_make(p, m)
     for a in range(1, F.q):
-        assert F.mul(a, F.inv(a)) == 1
+        assert mul_oracle(F, a, F.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
+def test_div_sub_neg_match_schoolbook(p, m):
+    F = field_make(p, m)
+    for a, b in oracle_pairs(F):
+        assert F.sub(a, b) == sub_oracle(F, a, b)
+        if b:
+            assert mul_oracle(F, F.div(a, b), b) == a
+    for a in F.elements():
+        assert F.neg(a) == sub_oracle(F, 0, a)
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, 0)
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
+def test_pow_and_frob_match_schoolbook(p, m):
+    F = field_make(p, m)
+    q = F.q
+    exponents = (0, 1, 2, 3, p, q - 1, q, q + 1, 2 * q + 3)
+    for a in oracle_elements(F):
+        for e in exponents:
+            assert F.pow(a, e) == pow_oracle(F, a, e)
+            if a:
+                assert mul_oracle(F, F.pow(a, -e), pow_oracle(F, a, e)) == 1
+        for k in range(-1, m + 2):
+            assert F.frob(a, k) == pow_oracle(F, a, p ** (k % m))
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
 
 
 def test_trace_gf4_examples():

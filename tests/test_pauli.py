@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from stabforge.errors import BadAlphabet, BadRange, BadSyntax, ShapeMismatch
+from stabforge.errors import BadAlphabet, BadRange, BadSyntax, NotPrime, ShapeMismatch
 from stabforge.gf import field_make
 from stabforge.pauli import (
     PauliOperator,
@@ -179,6 +179,18 @@ def test_error_set_size_examples():
     assert error_set_size(2, 1, 3, with_phases=True) == 3 * error_set_size(2, 1, 3)
     with pytest.raises(BadRange):
         error_set_size(4, 5, 2)
+
+
+def test_error_set_size_rejects_non_prime_power_order():
+    # q = 6 used to count with phases as if p = 2, and q = 1 as a field
+    for q in (0, 1, 6, 12, 100):
+        with pytest.raises(NotPrime):
+            error_set_size(2, 1, q, with_phases=True)
+        with pytest.raises(NotPrime):
+            error_set_size(2, 1, q)
+    assert error_set_size(2, 1, 4, with_phases=True) == 2 * error_set_size(2, 1, 4)
+    assert error_set_size(2, 1, 9, with_phases=True) == 3 * error_set_size(2, 1, 9)
+    assert error_set_size(2, 1, 257, with_phases=True) == 257 * error_set_size(2, 1, 257)
 
 
 def test_error_set_size_matches_enumeration():
