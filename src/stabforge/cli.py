@@ -9,7 +9,6 @@ or input error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -62,15 +61,6 @@ _CHECK_FAILURES = (
     EnlargementTooSmall,
     EmptyDifference,
 )
-
-
-def worker_cap() -> int:
-    """Worker limit from STABFORGE_THREADS; enumeration currently runs a
-    single worker, which always respects the cap."""
-    try:
-        return max(1, int(os.environ.get("STABFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _budget(args) -> int:
@@ -223,9 +213,11 @@ def _cmd_kl(args) -> int:
         print(f"kl=pass delta={args.delta} checked={result.checked} dim={result.code_dim}")
         return 0
     w = result.witness
+    # +0.0 clears the sign of a zero part, which the summation order sets
+    value = complex(w.value.real + 0.0, w.value.imag + 0.0)
     print(
         f"kl=fail delta={args.delta} witness={pauli_format(w.op)} "
-        f"i={w.i} j={w.j} value={w.value:.6g}"
+        f"i={w.i} j={w.j} value={value:.6g}"
     )
     return 1
 

@@ -63,7 +63,8 @@ class ShapeMismatch(StabforgeError):
 
 
 class BadRange(StabforgeError):
-    """A weight cap is outside [0, n]."""
+    """A value is outside its range: a weight cap outside [0, n], or a
+    matrix entry that is not a residue 0..q-1."""
 
 
 class BadSyntax(StabforgeError):

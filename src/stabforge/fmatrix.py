@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
+from .errors import BadRange, DimensionMismatch
 from .gf import Field
 
 
@@ -35,7 +35,10 @@ class FqMatrix:
 
 
 def matrix(field: Field, rows, ncols: int | None = None) -> FqMatrix:
-    rows = tuple(tuple(int(x) % field.q for x in r) for r in rows)
+    rows = tuple(tuple(map(int, r)) for r in rows)
+    bad = next((x for r in rows for x in r if not 0 <= x < field.q), None)
+    if bad is not None:
+        raise BadRange(f"matrix entry {bad} is not an element of GF({field.q}) (expected 0..{field.q - 1})")
     if ncols is None:
         if not rows:
             raise DimensionMismatch("cannot infer column count of an empty matrix")

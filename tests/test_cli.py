@@ -6,7 +6,7 @@ import argparse
 
 import pytest
 
-from stabforge.cli import _budget_log2, run, worker_cap
+from stabforge.cli import _budget_log2, run
 from stabforge.code import dump_code, dual, load_code, parse_code, save_code
 from stabforge.gf import field_make
 
@@ -188,6 +188,26 @@ def test_kl_pass_and_fail(files, capsys):
     assert "kl=fail" in out and "witness=" in out
 
 
+@pytest.mark.parametrize(
+    "value, printed",
+    [(complex(-0.0, 1.0), "0+1j"), (complex(1.0, -0.0), "1+0j"), (complex(-0.0, -0.0), "0+0j"), (-1j, "0-1j")],
+)
+def test_kl_witness_value_prints_no_signed_zero(files, capsys, monkeypatch, value, printed):
+    # the sign of a zero part depends on the oracle's summation order
+    from stabforge import cli
+    from stabforge.statevec import KLResult, KLWitness
+
+    real = cli.kl_verify
+
+    def signed(G, delta):
+        w = real(G, delta).witness
+        return KLResult(False, KLWitness(w.op, w.i, w.j, value), 1, 2)
+
+    monkeypatch.setattr(cli, "kl_verify", signed)
+    assert run(["kl", "--in", str(files["ex512"]), "--delta", "3"]) == 1
+    assert capsys.readouterr().out.endswith(f" value={printed}\n")
+
+
 def test_info_subcommand(files, capsys):
     assert run(["info", "--in", str(files["ex512"])]) == 0
     out = capsys.readouterr().out
@@ -292,15 +312,6 @@ def test_golden_kv_certificates(files, tmp_path, capsys, f2):
     for name, argv in argvs.items():
         assert run(argv + ["--kv"]) == 0
         assert capsys.readouterr().out == GOLDEN_KV[name], name
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.delenv("STABFORGE_THREADS", raising=False)
-    assert worker_cap() == 1
-    monkeypatch.setenv("STABFORGE_THREADS", "4")
-    assert worker_cap() == 4
-    monkeypatch.setenv("STABFORGE_THREADS", "junk")
-    assert worker_cap() == 1
 
 
 def test_deterministic_output(files, capsys):

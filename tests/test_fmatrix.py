@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from stabforge.errors import DimensionMismatch
+from stabforge.code import linear_code
+from stabforge.errors import BadRange, DimensionMismatch
 from stabforge.fmatrix import (
     FqMatrix,
     identity,
@@ -165,6 +166,23 @@ def test_intersect_commutative_and_monotone():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         intersect(matrix(F2, [(1, 0)]), matrix(F2, [(1, 0, 0)]))
+
+
+def test_matrix_rejects_entry_above_field():
+    # 5 and 7 are not elements of GF(4); reducing them mod 4 would turn
+    # the rows into (1, 0), (0, 3) of a different code
+    with pytest.raises(BadRange, match="entry 5"):
+        linear_code(F4, [(5, 0), (0, 7)])
+    with pytest.raises(BadRange, match="entry 2"):
+        matrix(F2, [(1, 0), (0, 2)])
+    assert matrix(F4, [(3, 0), (0, 1)]).rows == ((3, 0), (0, 1))
+
+
+def test_matrix_rejects_negative_entry():
+    with pytest.raises(BadRange, match="entry -1"):
+        matrix(F2, [(1, -1)])
+    with pytest.raises(BadRange, match="entry -3"):
+        linear_code(field_of_order(9), [(1, 0, -3)])
 
 
 def test_matmul_and_transpose():

@@ -8,11 +8,13 @@ import random
 import numpy as np
 import pytest
 
+from stabforge import statevec
 from stabforge.code import symplectic_code, symplectic_pair
 from stabforge.errors import BadRange, ShapeMismatch, StabforgeError, TooLarge, UnsupportedField
 from stabforge.gf import field_make
 from stabforge.pauli import PauliOperator, pauli_mul, pauli_parse, weights
 from stabforge.statevec import (
+    MAX_KL_QUBITS,
     GeneratorSet,
     apply_pauli,
     basis_state,
@@ -228,3 +230,98 @@ def test_kl_caps():
     big = GeneratorSet(n=11, rows=(), phases=())
     with pytest.raises(TooLarge):
         kl_verify(big, 1)
+
+
+# -- reference model: the full dense oracle ----------------------------------
+
+
+def _brute_code_basis(G: GeneratorSet) -> np.ndarray:
+    """Gram-Schmidt over every column of the projected 2^n identity."""
+    dim = 1 << G.n
+    P = projector_apply(G, (0,) * G.size, np.eye(dim, dtype=complex))
+    basis = []
+    for col in range(dim):
+        w = P[:, col].copy()
+        for b in basis:
+            w -= (b.conj() @ w) * b
+        norm = np.linalg.norm(w)
+        if norm > 1e-6:
+            basis.append(w / norm)
+    return np.column_stack(basis)
+
+
+def _brute_kl(G: GeneratorSet, delta: int, tol: float = 1e-9):
+    """Every (a, b) pair in lexicographic order, filtered by weight, one
+    error at a time: (passed, checked, code_dim, witness or None)."""
+    C = _brute_code_basis(G)
+    K = C.shape[1]
+    dim = 1 << G.n
+    idx = np.arange(dim)
+    # signs[b, d] = (-1)^(b.d), the diagonal of Z(b)
+    popcount = np.array([bin(x).count("1") for x in range(dim)])
+    signs = 1.0 - 2.0 * (popcount[idx[:, None] & idx[None, :]] & 1)
+    eye = np.eye(K)
+    checked = 0
+    for a_int in range(dim):
+        for b_int in range(dim):
+            if bin(a_int | b_int).count("1") > delta:
+                continue
+            checked += 1
+            EC = np.empty_like(C)
+            EC[idx ^ a_int, :] = signs[b_int][:, None] * C
+            M = C.conj().T @ EC
+            dev = np.abs(M - M[0, 0] * eye)
+            if dev.max() > tol:
+                i, j = (int(x) for x in np.argwhere(dev > tol)[0])
+                a_bits, b_bits = (tuple((x >> (G.n - 1 - t)) & 1 for t in range(G.n)) for x in (a_int, b_int))
+                return False, checked, K, (a_bits, b_bits, i, j, complex(M[i, j]))
+    return True, checked, K, None
+
+
+def _assert_matches_reference(G: GeneratorSet, deltas):
+    np.testing.assert_allclose(code_basis(G), _brute_code_basis(G), atol=1e-12)
+    for delta in deltas:
+        got = kl_verify(G, delta)
+        passed, checked, dim, witness = _brute_kl(G, delta)
+        assert (got.passed, got.checked, got.code_dim) == (passed, checked, dim), (G, delta)
+        if witness is None:
+            assert got.witness is None
+            continue
+        w = got.witness
+        assert (w.op.a, w.op.b, w.op.phase, w.i, w.j) == (*witness[:2], 0, *witness[2:4]), (G, delta)
+        assert abs(w.value - witness[4]) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("k", range(3))
+def test_kl_verify_matches_dense_reference(n, k):
+    G = random_generator_set(n, n - k, random.Random(1000 * n + k))
+    _assert_matches_reference(G, range(n + 1))
+
+
+def test_kl_verify_matches_dense_reference_on_named_codes(ex512):
+    # [[5,1,3]] and Shor's degenerate [[9,1,3]] pass at delta 2 over
+    # hundreds of errors, which random codes of low distance seldom do
+    def row(xs, zs):
+        return tuple(int(q in xs) for q in range(9)) + tuple(int(q in zs) for q in range(9))
+
+    zz = [row((), (b + t, b + t + 1)) for b in (0, 3, 6) for t in (0, 1)]
+    shor = GeneratorSet(n=9, rows=tuple(zz + [row(range(6), ()), row(range(3, 9), ())]), phases=(0,) * 8)
+    _assert_matches_reference(generator_set(ex512), range(6))
+    _assert_matches_reference(shor, range(4))
+
+
+def test_kl_verify_matches_dense_reference_in_small_chunks(monkeypatch):
+    # `rows` rows of D_a per matmul and a few errors per batch: the chunked
+    # paths, with a short last chunk of rows when rows does not divide 2^k
+    rng = random.Random(77)
+    for n, k in ((4, 2), (5, 1), (6, 3), (7, 2)):
+        G = random_generator_set(n, n - k, rng)
+        for rows in (1, 3):
+            monkeypatch.setattr(statevec, "_KL_CHUNK", rows << (n + k))
+            _assert_matches_reference(G, range(n + 1))
+
+
+def test_kl_verify_matches_dense_reference_at_the_cap():
+    G = random_generator_set(MAX_KL_QUBITS, MAX_KL_QUBITS - 2, random.Random(10))
+    _assert_matches_reference(G, (1, 2))
