@@ -203,7 +203,7 @@ def seed_codeword(G: GeneratorSet, seed) -> np.ndarray:
     return v
 
 
-def code_basis(G: GeneratorSet, tol: float = 1e-9) -> np.ndarray:
+def code_basis(G: GeneratorSet) -> np.ndarray:
     """Orthonormal basis of the syndrome-zero eigenspace as matrix columns.
 
     The identity is projected in column blocks of doubling width, and

@@ -7,8 +7,10 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from stabforge import code
 from stabforge.code import (
     _BLOCK,
     _weight_domain,
@@ -479,9 +481,18 @@ def test_partial_budget_exact_below_floor(hamming74):
 def _brute_search(field, gen_rows, half, ex_rows, budget):
     """Reference for the engine: (value, status, witness, visited).
 
-    Visits every message of weight below the first message-weight layer
-    that does not fit the budget (all of them if the span fits), and takes
-    the smallest (weight, word) outside span(ex_rows)."""
+    Rows are grouped by the qudit of their pivot (by the pivot itself for
+    plain Hamming weight), unless a pair's q^2 - 1 words exceed a block:
+    then every row is a group, and a qudit may hold two.  Layer t holds
+    the messages nonzero on exactly t groups, which touch at least
+    floor(t) = max(ceil(t/2), t - such qudits) qudits.  Once layers
+    1..t-1 are visited, a lightest word below floor(t) outside
+    span(ex_rows) is proven.  A span of at most _SMALL_SPAN words within
+    the budget is visited whole.  A span beyond the budget visits layers
+    while they fit and are unproven, and ends with the floor.  A larger
+    span within the budget visits layers while _LAYERED_COST * (visited +
+    the layers that would prove the lightest weight found) is at most the
+    span, and then the whole span."""
     q, k, n = field.q, len(gen_rows), len(gen_rows[0])
 
     def word(msg, rows):
@@ -497,28 +508,67 @@ def _brute_search(field, gen_rows, half, ex_rows, budget):
         return hamming_weight(v)
 
     excluded = {word(m, ex_rows) for m in itertools.product(range(q), repeat=len(ex_rows))}
-    if q**k - 1 <= budget:
-        t, visited = k + 1, q**k - 1
-    else:
-        t, visited = 1, 0
-        while visited + math.comb(k, t) * (q - 1) ** t <= budget:
-            visited += math.comb(k, t) * (q - 1) ** t
-            t += 1
-    found = []
-    for w in range(1, min(t, k + 1)):
-        for support in itertools.combinations(range(k), w):
-            for coefs in itertools.product(range(1, q), repeat=w):
+    paired = q * q - 1 <= code._BLOCK
+    qudits, by_group = set(), {}
+    for i, row in enumerate(gen_rows):
+        pivot = next(j for j, x in enumerate(row) if x)
+        qudit = pivot % half if half else pivot
+        qudits.add(qudit)
+        by_group.setdefault(qudit if paired else i, []).append(i)
+    groups = list(by_group.values())
+    g = len(groups)
+
+    def floor(t):
+        return max(-(-t // 2), t - (g - len(qudits)))
+
+    def layer(t):
+        """Every message nonzero on exactly t groups."""
+        for combo in itertools.combinations(groups, t):
+            nonzero = [[c for c in itertools.product(range(q), repeat=len(gr)) if any(c)] for gr in combo]
+            for parts in itertools.product(*nonzero):
                 msg = [0] * k
-                for i, c in zip(support, coefs):
-                    msg[i] = c
-                v = word(msg, gen_rows)
-                if v not in excluded:
-                    found.append((weight(v), v))
-    best = min(found, default=(n + 1, None))
-    floor = -(-t // 2) if half else t
-    if t > k or best[0] < floor:
-        return best[0], EXACT, best[1], visited
-    return floor, LOWER_BOUND, None, visited
+                for gr, c in zip(combo, parts):
+                    for i, x in zip(gr, c):
+                        msg[i] = x
+                yield msg
+
+    sizes = [sum(math.prod(q ** len(gr) - 1 for gr in combo) for combo in itertools.combinations(groups, t))
+             for t in range(g + 1)]
+    found = []
+
+    def walk(t):
+        for msg in layer(t):
+            v = word(msg, gen_rows)
+            if v not in excluded:
+                found.append((weight(v), v))
+
+    def best():
+        return min(found, default=(n + 1, None))
+
+    total = q**k - 1
+    if total <= min(budget, code._SMALL_SPAN):
+        for t in range(1, g + 1):
+            walk(t)
+        return best()[0], EXACT, best()[1], total
+    visited, t = 0, 1
+    while t <= g and best()[0] >= floor(t):
+        if total > budget:
+            go = visited + sizes[t] <= budget
+        else:
+            upto = next(u for u in itertools.count(t) if floor(u + 1) > best()[0]) if best()[1] is not None else t
+            go = code._LAYERED_COST * (visited + sum(sizes[t : min(upto, g) + 1])) <= total
+        if not go:
+            break
+        walk(t)
+        visited += sizes[t]
+        t += 1
+    if best()[0] < floor(t) or t > g:
+        return best()[0], EXACT, best()[1], visited
+    if total <= budget:
+        for s in range(t, g + 1):
+            walk(s)
+        return best()[0], EXACT, best()[1], visited + total
+    return floor(t), LOWER_BOUND, None, visited
 
 
 def _random_case(q, kind, k, n, rng):
@@ -558,8 +608,7 @@ def _check_against_brute_force(A, wfn, budget, B=None):
     assert (r.value, r.status, r.witness, r.visited) == (value, status, expected_witness, visited), (A, B, budget)
 
 
-def test_search_matches_brute_force():
-    rng = random.Random(2024)
+def _check_random_cases_against_brute_force(rng):
     shapes = {2: (8, 12), 3: (5, 8), 4: (4, 6), 5: (3, 6), 7: (3, 5), 8: (3, 5), 9: (2, 4), 16: (2, 4), 256: (1, 3)}
     for q, (kmax, nmax) in shapes.items():
         kinds = ["hamming", "quantum"] + (["additive"] if q in (4, 9, 16, 256) else [])
@@ -574,6 +623,47 @@ def test_search_matches_brute_force():
                 for B in (None, _subcode(A, rng)):
                     for budget in (span, span - 1, rng.randrange(0, span)):
                         _check_against_brute_force(A, wfn, budget, B)
+
+
+def test_search_matches_brute_force():
+    _check_random_cases_against_brute_force(random.Random(2024))
+
+
+def test_search_matches_brute_force_when_every_span_tries_layers(monkeypatch):
+    """The layered walk of a span within the budget, its early stop and its
+    fallback to the whole span, on spans small enough to brute-force: with
+    these constants both endings occur dozens of times."""
+    monkeypatch.setattr(code, "_SMALL_SPAN", 0)
+    monkeypatch.setattr(code, "_LAYERED_COST", 2)
+    _check_random_cases_against_brute_force(random.Random(2025))
+
+
+def test_search_matches_brute_force_with_tiny_blocks(monkeypatch):
+    """Blocks of four words: few layers fit a table, so a layer's streamed
+    words on several groups are built from streams on fewer groups."""
+    monkeypatch.setattr(code, "_BLOCK", 4)
+    monkeypatch.setattr(code, "_SMALL_SPAN", 0)
+    monkeypatch.setattr(code, "_LAYERED_COST", 2)
+    _check_random_cases_against_brute_force(random.Random(2026))
+
+
+def test_search_matches_brute_force_on_deep_layers(monkeypatch):
+    """Distances beyond the layers that fit a table: with blocks of 150
+    words only layers 0-2 are tables, so layers 3-7 stream words on up to
+    five groups, from a table's subset or from shorter streams.  The cyclic
+    Golay [23,12,7] code has twelve single-row groups; the symplectic code
+    of six Golay shifts on each side has six qudit pairs and distance 7."""
+    monkeypatch.setattr(code, "_BLOCK", 150)
+    rng = random.Random(23)
+    f2 = field_of_order(2)
+    g = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+    golay = [(0,) * i + g + (0,) * (11 - i) for i in range(12)]
+    L = linear_code(f2, golay)
+    S = symplectic_code(f2, [r + (0,) * 23 for r in golay[:6]] + [(0,) * 23 + r for r in golay[:6]])
+    for A, wfn in ((L, "hamming"), (S, "quantum")):
+        _check_against_brute_force(A, wfn, 2**12 - 2)
+        _check_against_brute_force(A, wfn, 2**12 - 2, _subcode(A, rng))
+        _check_against_brute_force(A, wfn, 1000)
 
 
 def test_search_matches_brute_force_across_blocks():
@@ -596,9 +686,14 @@ def test_search_matches_brute_force_across_blocks():
     _check_against_brute_force(G, "hamming", 16**4 - 2)
     H = linear_code(f256, [[rng.randrange(256) for _ in range(3)] for _ in range(2)])
     _check_against_brute_force(H, "hamming", 256**2 - 1)
+    # pivots a_0 and b_0: the pair's 65,535 words exceed a block, so its rows
+    # stay two groups on one qudit and finished layers prove only ceil(t/2)
+    P = symplectic_code(f256, [(1, 7, 9, 3), (0, 0, 1, 5)])
+    for budget in (256**2 - 1, 256**2 - 2, 600):
+        _check_against_brute_force(P, "quantum", budget)
 
 
-def test_search_finds_planted_words_at_layer_edges():
+def test_search_finds_planted_words_at_layer_edges(monkeypatch):
     """A light word whose message support ends a table slice, or starts the
     last prefix, is found: layered walks split each layer into prefixes
     and table slices, and a missed slice would lose it."""
@@ -628,12 +723,21 @@ def test_search_finds_planted_words_at_layer_edges():
     C, word = planted(f256, 17, 3, (16,))  # GF(256), k = 17: no table fits a block
     r = min_weight(C, budget=17 * 255)
     assert (r.value, r.status, r.witness, r.visited) == (1, EXACT, word, 17 * 255)
+    # blocks of 150 words: layer 5 pairs the two-group table with streamed
+    # words on three groups, each a word of group c plus a two-group table
+    # word whose first group follows c
+    monkeypatch.setattr(code, "_BLOCK", 150)
+    for support in ((11, 12, 13, 14, 15), (0, 1, 2, 3, 4), (0, 12, 13, 14, 15), (10, 11, 12, 14, 15), (2, 5, 7, 9, 13)):
+        C, word = planted(f2, 16, 40, support)
+        r = min_weight(C, budget=layers)
+        assert (r.value, r.status, r.witness, r.visited) == (5, EXACT, word, layers)
 
 
 def test_search_memory_stays_within_blocks():
     """Neither a finished layer nor the whole span is ever materialized:
     [80,40] at 2^20 visits about 7.6e5 words (about 60 MB as bytes), and
-    [40,20] exhaustive visits 2^20 - 1 words (about 40 MB)."""
+    [40,20] visits all 2^20 - 1 words (about 40 MB) after its first layer,
+    since layers that prove its distance 6 would cost more than the span."""
     rng = random.Random(5)
     f2 = field_make(2, 1)
     for (n, k), budget in (((80, 40), 1 << 20), ((40, 20), 1 << 20)):
@@ -646,6 +750,7 @@ def test_search_memory_stays_within_blocks():
         finally:
             tracemalloc.stop()
         assert r.visited > 7 * 10**5
+        assert budget < 2**k - 1 or (r.value, r.visited) == (6, 2**k - 1 + k)
         assert peak < 4 * 2**20, f"[{n},{k}] peaked at {peak / 2**20:.1f} MiB"
 
 
@@ -673,6 +778,64 @@ def test_partial_budget_bounds_quantum_and_additive():
             part = min_weight(C, budget=1 << blog)
             if part.status == LOWER_BOUND:
                 assert 1 <= part.value <= exact.value
+
+
+def _full_walk(field, gen_rows, half, ex_rows):
+    """Reference for an exact result: (value, witness) over the whole span
+    outside span(ex_rows), from every word of both spans in numpy."""
+    add_t, mul_t = field.np_tables()
+    n = len(gen_rows[0])
+
+    def span(rows):
+        W = np.zeros((1, n), dtype=np.uint8)
+        for row in rows:
+            W = np.concatenate([add_t[W, mul_t[c, list(row)]] for c in range(field.q)])
+        return W
+
+    def keys(W):
+        return W.astype(np.int64) @ field.q ** np.arange(n, dtype=np.int64)
+
+    words = span(gen_rows)
+    X = words[:, :half] | words[:, half:] if half else words
+    wts = (X != 0).sum(axis=1)
+    wts[np.isin(keys(words), keys(span(ex_rows)))] = n + 1  # the zero word is always excluded
+    lightest = words[wts == wts.min()]
+    return int(wts.min()), tuple(lightest[np.lexsort(lightest.T[::-1])[0]].tolist())
+
+
+@pytest.mark.parametrize("small_span", [None, 0])
+def test_grouped_walk_matches_full_walk_on_random_codes(monkeypatch, small_span):
+    """Exact results equal the full walk's value and witness, and floors
+    never exceed it: symplectic codes over GF(2), GF(3) and GF(4) and
+    additive codes over GF(4) and GF(9), spans of 8192-65536 words, with
+    and without an excluded subcode, at full and partial budgets.  With
+    small_span = 0 every span within the budget tries layers first."""
+    if small_span is not None:
+        monkeypatch.setattr(code, "_SMALL_SPAN", small_span)
+    rng = random.Random(7007)
+    # (field order, kind, qudits, rows); an additive code is walked over GF(2) or GF(3), its Phi preimage
+    shapes = [(2, "quantum", 10, 13), (2, "quantum", 12, 16), (3, "quantum", 7, 9), (3, "quantum", 8, 10),
+              (4, "quantum", 6, 7), (4, "quantum", 6, 8), (4, "additive", 10, 14), (4, "additive", 10, 16),
+              (9, "additive", 6, 9), (9, "additive", 7, 10)]
+    endings = {"proven by layers": 0, "layers then whole span": 0, "floor": 0}
+    for q, kind, n, rows in shapes:
+        A = _random_case(q, kind, rows, 2 * n, rng)
+        wfn = "quantum" if kind == "quantum" else "hamming"
+        field, gen, half, to_public = _weight_domain(A, wfn)
+        total = field.q**gen.nrows - 1
+        for B in (None, _subcode(A, rng)):
+            ex_rows = _weight_domain(B, wfn)[1].rows if B is not None else []
+            value, witness = _full_walk(field, gen.rows, half, ex_rows)
+            for budget in (DEFAULT_BUDGET, total, total - 1, total // 16, 300, 30):
+                r = min_weight_diff(A, B, wfn, budget) if B is not None else min_weight(A, wfn, budget)
+                if r.status == EXACT:
+                    assert (r.value, r.witness) == (value, to_public(witness)), (A, B, budget)
+                    endings["proven by layers"] += r.visited < total
+                    endings["layers then whole span"] += r.visited > total
+                else:
+                    assert budget < total and r.witness is None and 1 <= r.value <= value, (A, B, budget)
+                    endings["floor"] += 1
+    assert all(endings.values()), endings
 
 
 # -- the Phi bridge ------------------------------------------------------------

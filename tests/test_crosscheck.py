@@ -63,6 +63,25 @@ def test_certified_distance_sits_on_the_kl_boundary():
         checked += 1
 
 
+def test_certified_distance_sits_on_the_kl_boundary_beyond_one_block():
+    """[[10,k]] codes whose symplectic dual spans 2^13 to 2^16 words, more
+    than one block: k = 3, 4 walk the dual whole, k = 5, 6 try qudit-group
+    layers first and mostly stop once d is proven."""
+    rng = random.Random(1010)
+    n, layered = 10, 0
+    for k in (3, 4, 5, 6, 3, 4, 5, 6):
+        C = symplectic_code(F2, random_generator_set(n, n - k, rng).rows, half=n)
+        assert C.k_dim == n - k
+        d = certify_stabilizer(C).params.d
+        assert d.status == EXACT
+        layered += d.visited < 2 ** (n + k) - 1
+        gen = generator_set(C)
+        below, at = kl_verify(gen, d.value - 1), kl_verify(gen, d.value)
+        assert below.passed and not at.passed, (C.gen.rows, d)
+        assert weights(at.witness.op)[0] == d.value
+    assert layered >= 2
+
+
 def _random_combination(f, rows, rng, n):
     v = [0] * n
     for r in rows:
@@ -154,12 +173,13 @@ def test_purity_matches_oracle_degeneracy():
 
 
 def test_shor_impurity_decided_under_partial_budget():
-    # At budget 400 the walk of the dual (dimension 10) finishes message
-    # layers 1-4 only, so d stays the floor >= 3, and a verdict that waits
-    # for an exact d reads unknown.  The stabilizer (dimension 8, 255 words)
-    # is walked exhaustively: its exact weight-2 words lie below the proven
-    # d >= 3, so the code is impure without knowing d.
-    stab = certify_stabilizer(symplectic_code(F2, SHOR_ROWS), budget=400)
+    # At budget 260 the walk of the dual (dimension 10, rows on seven
+    # qudits) finishes qudit-group layers 1-2 (82 words) only, since layer 3
+    # would bring it to 275, so d stays the floor >= 3, and a verdict that
+    # waits for an exact d reads unknown.  The stabilizer (dimension 8, 255
+    # words) is walked exhaustively: its exact weight-2 words lie below the
+    # proven d >= 3, so the code is impure without knowing d.
+    stab = certify_stabilizer(symplectic_code(F2, SHOR_ROWS), budget=260)
     assert (stab.params.d.value, stab.params.d.status) == (3, "lower_bound")
     assert stab.params.pure == IMPURE
 

@@ -271,6 +271,18 @@ def test_purity_walks_each_domain_once(monkeypatch, f2, hamming74):
         assert calls == [("min_weight_diff", 4), ("min_weight_diff", 7), ("min_weight", 3)]
 
 
+def test_certify_walks_stop_once_the_distance_is_proven():
+    # both duals span 2^22 - 1 words as eleven qudit pairs; finished layers
+    # 1..d prove d, so the walk stops after sum_{t<=d} C(11,t) 3^t words
+    rm24 = linear_code(F2, reed_muller_rows(2, 4))
+    simplex = [tuple((j + 1) >> i & 1 for j in range(15)) for i in range(4)]
+    hamming = dual(linear_code(F2, simplex), "euclidean")
+    for inner, params, most in ((rm24, "[[16,6,4]]_2", 4 * 10**4), (hamming, "[[15,7,3]]_2", 10**4)):
+        stab = certify_stabilizer(css(inner, inner).code)
+        assert format_params(stab.params) == params and stab.params.pure == PURE
+        assert stab.params.d.status == EXACT and stab.params.d.visited <= most
+
+
 # -- Steane enlargement ------------------------------------------------------------
 
 
