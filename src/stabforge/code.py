@@ -17,10 +17,12 @@ their pivot, and layer t holds the messages nonzero on exactly t groups.
 Such a word touches at least t qudits (t positions for Hamming weight;
 ceil(t/2) and up over fields above 64 elements, whose qudit pairs are not
 grouped), so once layers 1..t-1 are finished that is a proven floor, and a
-lightest word found below it is the exact distance: the walk stops there.  A span beyond
-the budget walks layers while they fit and otherwise returns the floor as
-a lower bound; a span within it walks layers only while a count rule
-predicts they prove the distance cheaply, and otherwise walks whole.  An
+lightest word found below it is the exact distance: the walk stops there.
+A span beyond the budget walks layers while they fit and otherwise returns
+the floor as a lower bound; a larger span within it walks layers while
+they add up to at most 1/_LAYERED_COST of the span, and then walks whole.
+A walk given a target (purity asks only whether a word is lighter than
+the distance) also stops once the floor reaches it, with that floor.  An
 exact result's witness is the lexicographically smallest minimum-weight
 word (outside the excluded subcode, for a difference), independent of the
 order in which the words are visited.
@@ -28,7 +30,6 @@ order in which the words are visited.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -252,14 +253,31 @@ class SymplecticCode(LinearCode):
         return self.n // 2
 
     def self_orthogonality_witness(self) -> tuple[int, int, int] | None:
-        """First generator pair with nonzero pairing, or None."""
-        rows = self.gen.rows
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                v = symplectic_pair(self.field, rows[i], rows[j])
-                if v:
-                    return (i, j, v)
-        return None
+        """First generator pair (i, j), i <= j in row-major order, with a
+        nonzero symplectic pairing, and that pairing; None if there is none.
+
+        Every pair at once: rows i and j pair to P[i, j] - P[j, i] for
+        P[i, j] = sum_c b_i[c] a_j[c], an integer matmul mod p over a prime
+        field.  Over an extension the products come from the mul table, and
+        since the base-p digits of residues add independently mod p, each
+        digit of P is an integer sum of the digits of those products.  The
+        pairings are antisymmetric, so the first nonzero one in row-major
+        order lies above the diagonal."""
+        f, h, p = self.field, self.half, self.field.p
+        G = np.array(self.gen.rows, dtype=np.int64).reshape(-1, self.n)
+        if f.m == 1:
+            P = G[:, h:] @ G[:, :h].T
+            pair = (P - P.T) % p
+        else:
+            place = p ** np.arange(f.m)
+            prods = f.np_tables()[1][G[:, None, h:], G[None, :, :h], None]  # b_i[c] * a_j[c]
+            digits = (prods // place % p).sum(axis=2)
+            pair = (digits - digits.transpose(1, 0, 2)) % p @ place
+        nonzero = np.flatnonzero(pair)
+        if not len(nonzero):
+            return None
+        i, j = divmod(int(nonzero[0]), len(G))
+        return (i, j, int(pair[i, j]))
 
     def is_self_orthogonal(self) -> bool:
         return self.self_orthogonality_witness() is None
@@ -457,7 +475,7 @@ class DistanceResult:
         return self.status == EXACT
 
 
-def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude):
+def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude, target=None):
     """Minimum weight over the nonzero span of `gen` outside span(B).
 
     `gen` must be in reduced echelon form; `exclude` is None or B's (rref,
@@ -493,10 +511,15 @@ def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude):
     the floor of the first unfinished layer as a lower bound, with no
     witness, unless a word below it was found.  A span within the budget
     is walked exhaustively when it has at most _SMALL_SPAN words.  A
-    larger one walks layers while _LAYERED_COST times the words walked
-    plus those of the layers that would prove the lightest word so far is
-    at most the span, and finishes with the exhaustive walk if that stops
-    holding first.
+    larger one walks layer t while _LAYERED_COST times the words walked
+    with layer t is at most the span, and finishes with the exhaustive
+    walk if that stops holding first, so layers take at most
+    1/_LAYERED_COST of the span before it.
+
+    A `target` ends the walk before layer t, or before the whole span,
+    once floors[t] reaches it, and returns that floor as a lower bound: no
+    word lighter than the target is left.  A span walked whole from the
+    start ignores it.
 
     The witness is the lexicographically smallest minimum-weight word
     outside B, whatever order the words are visited in: each block's
@@ -615,15 +638,11 @@ def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude):
             rest = (W for e in range(c + 1, g) for W in high(r - 1, e))
         return blocks(rest, sym[c])
 
-    def worth(t):
-        """Whether layer t is walked next."""
-        if total > budget:
-            return visited + layers[t] <= budget
-        upto = min(bisect.bisect_right(floors, best_w) - 1, g) if best_v is not None else t
-        return _LAYERED_COST * (visited + sum(layers[t : upto + 1])) <= total
-
+    # words the layers may take: the budget, or a share of a span within it
+    cap = budget if total > budget else total // _LAYERED_COST
+    stop = n + 2 if target is None else target  # no floor exceeds g + 1 <= n + 1
     visited, t = 0, 1
-    while t <= g and best_w >= floors[t] and worth(t):
+    while t <= g and best_w >= floors[t] and floors[t] < stop and visited + layers[t] <= cap:
         while len(tables) <= t and layers[len(tables)] <= _BLOCK:
             grow()
         s = len(tables) - 1  # low groups from a table, the r high ones streamed
@@ -636,7 +655,7 @@ def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude):
         t += 1
     if best_w < floors[t] or t > g:
         return best_w, EXACT, best_v, visited
-    if total <= budget:
+    if total <= budget and floors[t] < stop:
         for W in span(range(k)):
             consider(W)
         return best_w, EXACT, best_v, visited + total
@@ -661,12 +680,18 @@ def _weight_domain(C: LinearCode, wfn: str):
     return C.field, C.gen, 0, lambda v: v
 
 
-def min_weight(C: LinearCode, wfn: str = "hamming", budget: int = DEFAULT_BUDGET) -> DistanceResult:
-    """Minimum weight over the nonzero codewords of C."""
+def min_weight(
+    C: LinearCode, wfn: str = "hamming", budget: int = DEFAULT_BUDGET, target: int | None = None
+) -> DistanceResult:
+    """Minimum weight over the nonzero codewords of C.
+
+    With a `target`, the walk also stops once its floor reaches the target,
+    and returns that floor as a lower bound: the caller only asks whether
+    some word is lighter than the target."""
     if C.k_dim == 0:
         raise ZeroCode("the zero code has no nonzero codeword")
     field, gen, half, to_public = _weight_domain(C, wfn)
-    w, status, wit, visited = _search(field, gen, half, budget, None)
+    w, status, wit, visited = _search(field, gen, half, budget, None, target)
     witness = to_public(wit) if wit is not None else None
     return DistanceResult(w, status, witness, visited)
 

@@ -15,7 +15,11 @@ d(D) = min(d(C), d(D minus C)) and the code is pure iff d(C) >= d; for CSS,
 min(d(C1), d(C2)) = min(d(C1^perp), d(C2^perp), d).  Under a partial
 budget an exact stabilizer-side value below d is impure, an exact d with
 no stabilizer-side value (exact or floor) below it is pure, and anything
-else is unknown.
+else is unknown.  A stabilizer-side walk only has to tell whether a word
+lighter than d exists, so it stops as soon as its floor reaches d (the
+printed d, or for `aqc` the coset distance it is compared with): that
+floor rules out every lighter word, and the verdict is the one the full
+walk gives, at every budget.
 """
 
 from __future__ import annotations
@@ -124,15 +128,22 @@ class StabilizerCode:
         return iter((self, self.params))
 
 
-def _stabilizer_min(S: LinearCode, wfn: str, budget: int) -> DistanceResult | None:
-    """Minimum weight of the stabilizer-side code S; None if S is zero."""
-    return min_weight(S, wfn, budget) if S.k_dim else None
+def _stabilizer_min(S: LinearCode, wfn: str, budget: int, d: int) -> DistanceResult | None:
+    """Minimum weight of the stabilizer-side code S, None if S is zero.
+
+    Purity only asks whether S has a word lighter than the distance d, so
+    the walk stops once its floor reaches d and returns that floor as a
+    lower bound: it exceeds no word of S, and it settles the question."""
+    return min_weight(S, wfn, budget, target=d) if S.k_dim else None
 
 
 def _purity(*pairs: tuple[DistanceResult, DistanceResult | None]) -> str:
     """Verdict from (distance, stabilizer-side minimum) pairs, the minimum
     None for a zero code: pure iff no minimum is below its distance.  Sound
-    under any budget, since neither value exceeds the true one."""
+    under any budget, since neither value exceeds the true one.  A
+    stabilizer-side floor at or above the distance, where a walk given that
+    distance stops, rules out every lighter word as the exact minimum
+    would, so the verdict is the one the full walk gives."""
     pairs = [(d, s) for d, s in pairs if s is not None]
     if any(s.is_exact and s.value < d.value for d, s in pairs):
         return IMPURE
@@ -147,7 +158,8 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     k = n - dim C and d is the minimum quantum weight of the symplectic
     dual D minus the code itself (of the dual alone when k = 0).  Since
     d(D) = min(d(C), d), the code is pure iff d(C) >= d: purity walks C,
-    of dimension n - k, and not D, of dimension n + k.
+    of dimension n - k, and not D, of dimension n + k, and stops once its
+    floor reaches d.
     """
     witness = C.self_orthogonality_witness()
     if witness is not None:
@@ -158,7 +170,7 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     tag = f"certify_stabilizer(C:{code_digest(C)})"
     if k > 0:
         d = min_weight_diff(D, C, "quantum", budget)
-        pure = _purity((d, _stabilizer_min(C, "quantum", budget)))
+        pure = _purity((d, _stabilizer_min(C, "quantum", budget, d.value)))
     else:
         d = min_weight(C, "quantum", budget)
         pure = PURE
@@ -195,14 +207,19 @@ def _merge_status(*results: DistanceResult) -> str:
 
 
 def _css_walks(C1, C2, D1, D2, budget: int):
-    """(wt(C2 minus D1), wt(C1 minus D2), d(D1), d(D2)) for D_i = C_i^perp,
-    the minima None for a zero D_i; when C1 == C2 each is walked once."""
-    same = C1 == C2
+    """(wt(C2 minus D1), wt(C1 minus D2)) for D_i = C_i^perp; when C1 == C2
+    the one coset is walked once."""
     w21 = min_weight_diff(C2, D1, "hamming", budget)
-    w12 = w21 if same else min_weight_diff(C1, D2, "hamming", budget)
-    m1 = _stabilizer_min(D1, "hamming", budget)
-    m2 = m1 if same else _stabilizer_min(D2, "hamming", budget)
-    return w21, w12, m1, m2
+    w12 = w21 if C1 == C2 else min_weight_diff(C1, D2, "hamming", budget)
+    return w21, w12
+
+
+def _dual_mins(D1, D2, budget: int, d1: int, d2: int):
+    """(d(D1), d(D2)) for purity, each walked until its floor reaches its
+    distance d_i (see _stabilizer_min); the same walk is made once."""
+    m1 = _stabilizer_min(D1, "hamming", budget, d1)
+    m2 = m1 if (D2, d2) == (D1, d1) else _stabilizer_min(D2, "hamming", budget, d2)
+    return m1, m2
 
 
 def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
@@ -214,7 +231,8 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     come from the two classical coset distances, walked once when C1 == C2.
     Since min(d(C1), d(C2)) = min(d(C1^perp), d(C2^perp), d), the code is
     pure iff d(C1^perp) >= d and d(C2^perp) >= d; each nonzero dual is
-    walked once.  For k = 0 the block is certified directly.
+    walked once, until its floor reaches d.  For k = 0 the block is
+    certified directly.
     """
     _check_linear_pair(C1, C2)
     n = C1.n
@@ -231,13 +249,14 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     if k == 0:
         stab = certify_stabilizer(block, budget)
         return replace(stab, params=replace(stab.params, provenance=tag + "|k0-selfdual"))
-    w21, w12, m1, m2 = _css_walks(C1, C2, D1, D2, budget)
+    w21, w12 = _css_walks(C1, C2, D1, D2, budget)
     if w21.value <= w12.value:
         sym_wit = tuple(w21.witness) + (0,) * n if w21.witness else None
     else:
         sym_wit = (0,) * n + tuple(w12.witness) if w12.witness else None
     visited = w21.visited if w12 is w21 else w21.visited + w12.visited
     d = DistanceResult(min(w21.value, w12.value), _merge_status(w21, w12), sym_wit, visited)
+    m1, m2 = _dual_mins(D1, D2, budget, d.value, d.value)
     pure = _purity((d, m1), (d, m2))
     params = CodeParams(q=f.q, n=n, k=k, d=d, pure=pure, provenance=tag)
     phases = hermitian_phases(f, block.gen.rows)
@@ -351,7 +370,8 @@ def css_aqc(
     result is pure exactly when {d_z, d_x} = {d(C1), d(C2)}.  As
     C1^perp < C2 and C2^perp < C1, that holds iff
     d(C1^perp) >= wt(C2 minus C1^perp) and d(C2^perp) >= wt(C1 minus C2^perp),
-    so purity walks the duals, each nonzero one once.  When C1 == C2 the
+    so purity walks the duals, each nonzero one once, until its floor
+    reaches the coset distance it is compared with.  When C1 == C2 the
     single coset distance is walked once.
     """
     if ip not in AQC_INNER_PRODUCTS:
@@ -361,7 +381,8 @@ def css_aqc(
     if not is_subcode(D1, C2):
         raise NotNested(f"C1^perp ({ip}) is not contained in C2")
     D2 = dual(C2, ip)
-    w21, w12, m1, m2 = _css_walks(C1, C2, D1, D2, budget)
+    w21, w12 = _css_walks(C1, C2, D1, D2, budget)
+    m1, m2 = _dual_mins(D1, D2, budget, w21.value, w12.value)
     dz, dx = (w21, w12) if w21.value >= w12.value else (w12, w21)
     pure = _purity((w21, m1), (w12, m2))
     return CodeParams(

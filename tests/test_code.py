@@ -478,7 +478,7 @@ def test_partial_budget_exact_below_floor(hamming74):
     assert (r.value, r.status, r.witness, r.visited) == (3, LOWER_BOUND, None, 10)
 
 
-def _brute_search(field, gen_rows, half, ex_rows, budget):
+def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
     """Reference for the engine: (value, status, witness, visited).
 
     Rows are grouped by the qudit of their pivot (by the pivot itself for
@@ -490,9 +490,10 @@ def _brute_search(field, gen_rows, half, ex_rows, budget):
     span(ex_rows) is proven.  A span of at most _SMALL_SPAN words within
     the budget is visited whole.  A span beyond the budget visits layers
     while they fit and are unproven, and ends with the floor.  A larger
-    span within the budget visits layers while _LAYERED_COST * (visited +
-    the layers that would prove the lightest weight found) is at most the
-    span, and then the whole span."""
+    span within the budget visits layer t while _LAYERED_COST * (visited +
+    layer t) is at most the span, and then the whole span.  With a target,
+    a walk that has started on layers ends before layer t, or before the
+    whole span, once floor(t) reaches the target, with that floor."""
     q, k, n = field.q, len(gen_rows), len(gen_rows[0])
 
     def word(msg, rows):
@@ -550,13 +551,16 @@ def _brute_search(field, gen_rows, half, ex_rows, budget):
         for t in range(1, g + 1):
             walk(t)
         return best()[0], EXACT, best()[1], total
+
+    def reached(t):
+        return target is not None and floor(t) >= target
+
     visited, t = 0, 1
-    while t <= g and best()[0] >= floor(t):
+    while t <= g and best()[0] >= floor(t) and not reached(t):
         if total > budget:
             go = visited + sizes[t] <= budget
         else:
-            upto = next(u for u in itertools.count(t) if floor(u + 1) > best()[0]) if best()[1] is not None else t
-            go = code._LAYERED_COST * (visited + sum(sizes[t : min(upto, g) + 1])) <= total
+            go = code._LAYERED_COST * (visited + sizes[t]) <= total
         if not go:
             break
         walk(t)
@@ -564,7 +568,7 @@ def _brute_search(field, gen_rows, half, ex_rows, budget):
         t += 1
     if best()[0] < floor(t) or t > g:
         return best()[0], EXACT, best()[1], visited
-    if total <= budget:
+    if total <= budget and not reached(t):
         for s in range(t, g + 1):
             walk(s)
         return best()[0], EXACT, best()[1], visited + total
@@ -599,13 +603,14 @@ def _subcode(A, rng):
     return B if 0 < B.k_dim < A.k_dim else None
 
 
-def _check_against_brute_force(A, wfn, budget, B=None):
+def _check_against_brute_force(A, wfn, budget, B=None, target=None):
     field, gen, half, to_public = _weight_domain(A, wfn)
     ex_rows = _weight_domain(B, wfn)[1].rows if B is not None else []
-    value, status, witness, visited = _brute_search(field, gen.rows, half, ex_rows, budget)
-    r = min_weight_diff(A, B, wfn, budget) if B is not None else min_weight(A, wfn, budget)
+    value, status, witness, visited = _brute_search(field, gen.rows, half, ex_rows, budget, target)
+    r = min_weight_diff(A, B, wfn, budget) if B is not None else min_weight(A, wfn, budget, target)
     expected_witness = to_public(witness) if witness is not None else None
-    assert (r.value, r.status, r.witness, r.visited) == (value, status, expected_witness, visited), (A, B, budget)
+    got = (r.value, r.status, r.witness, r.visited)
+    assert got == (value, status, expected_witness, visited), (A, B, budget, target)
 
 
 def _check_random_cases_against_brute_force(rng):
@@ -623,6 +628,9 @@ def _check_random_cases_against_brute_force(rng):
                 for B in (None, _subcode(A, rng)):
                     for budget in (span, span - 1, rng.randrange(0, span)):
                         _check_against_brute_force(A, wfn, budget, B)
+                        if B is None:
+                            for target in range(1, 5):
+                                _check_against_brute_force(A, wfn, budget, target=target)
 
 
 def test_search_matches_brute_force():
@@ -664,6 +672,8 @@ def test_search_matches_brute_force_on_deep_layers(monkeypatch):
         _check_against_brute_force(A, wfn, 2**12 - 2)
         _check_against_brute_force(A, wfn, 2**12 - 2, _subcode(A, rng))
         _check_against_brute_force(A, wfn, 1000)
+        for target in (5, 7):
+            _check_against_brute_force(A, wfn, 2**12 - 2, target=target)
 
 
 def test_search_matches_brute_force_across_blocks():
@@ -736,11 +746,11 @@ def test_search_finds_planted_words_at_layer_edges(monkeypatch):
 def test_search_memory_stays_within_blocks():
     """Neither a finished layer nor the whole span is ever materialized:
     [80,40] at 2^20 visits about 7.6e5 words (about 60 MB as bytes), and
-    [40,20] visits all 2^20 - 1 words (about 40 MB) after its first layer,
-    since layers that prove its distance 6 would cost more than the span."""
+    [48,20] visits all 2^20 - 1 words (about 48 MB) after layers 1-6, the
+    most that fit 1/16 of the span: they prove 7, short of its distance 9."""
     rng = random.Random(5)
     f2 = field_make(2, 1)
-    for (n, k), budget in (((80, 40), 1 << 20), ((40, 20), 1 << 20)):
+    for (n, k), budget in (((80, 40), 1 << 20), ((48, 20), 1 << 20)):
         C = linear_code(f2, [[rng.randrange(2) for _ in range(n)] for _ in range(k)])
         assert C.k_dim == k
         tracemalloc.start()
@@ -750,7 +760,8 @@ def test_search_memory_stays_within_blocks():
         finally:
             tracemalloc.stop()
         assert r.visited > 7 * 10**5
-        assert budget < 2**k - 1 or (r.value, r.visited) == (6, 2**k - 1 + k)
+        layers = sum(math.comb(k, t) for t in range(1, 7))
+        assert budget < 2**k - 1 or (r.value, r.visited) == (9, 2**k - 1 + layers)
         assert peak < 4 * 2**20, f"[{n},{k}] peaked at {peak / 2**20:.1f} MiB"
 
 
@@ -809,14 +820,16 @@ def test_grouped_walk_matches_full_walk_on_random_codes(monkeypatch, small_span)
     never exceed it: symplectic codes over GF(2), GF(3) and GF(4) and
     additive codes over GF(4) and GF(9), spans of 8192-65536 words, with
     and without an excluded subcode, at full and partial budgets.  With
-    small_span = 0 every span within the budget tries layers first."""
+    small_span = 0 every span within the budget tries layers first.  The
+    last two shapes have few rows on many qudits: the layers that fit 1/16
+    of the span do not prove their distance, so they end on the whole span."""
     if small_span is not None:
         monkeypatch.setattr(code, "_SMALL_SPAN", small_span)
     rng = random.Random(7007)
     # (field order, kind, qudits, rows); an additive code is walked over GF(2) or GF(3), its Phi preimage
     shapes = [(2, "quantum", 10, 13), (2, "quantum", 12, 16), (3, "quantum", 7, 9), (3, "quantum", 8, 10),
               (4, "quantum", 6, 7), (4, "quantum", 6, 8), (4, "additive", 10, 14), (4, "additive", 10, 16),
-              (9, "additive", 6, 9), (9, "additive", 7, 10)]
+              (9, "additive", 6, 9), (9, "additive", 7, 10), (2, "quantum", 20, 16), (3, "quantum", 16, 10)]
     endings = {"proven by layers": 0, "layers then whole span": 0, "floor": 0}
     for q, kind, n, rows in shapes:
         A = _random_case(q, kind, rows, 2 * n, rng)

@@ -11,7 +11,18 @@ import random
 
 import pytest
 
-from stabforge.code import EXACT, dual, is_subcode, linear_code, min_weight, symplectic_code
+import stabforge.code as code
+import stabforge.stabilizer as stabilizer
+from stabforge.code import (
+    DEFAULT_BUDGET,
+    EXACT,
+    LOWER_BOUND,
+    dual,
+    is_subcode,
+    linear_code,
+    min_weight,
+    symplectic_code,
+)
 from stabforge.gf import field_make, field_of_order
 from stabforge.pauli import weights
 from stabforge.stabilizer import (
@@ -80,6 +91,16 @@ def test_certified_distance_sits_on_the_kl_boundary_beyond_one_block():
         assert below.passed and not at.passed, (C.gen.rows, d)
         assert weights(at.witness.op)[0] == d.value
     assert layered >= 2
+
+
+def test_random_18_1_distance_is_proven_by_layers():
+    """The d walk of a random [[18,1]] code: the symplectic dual minus the
+    code spans 2^19 words, and qudit-group layers 1-4 prove d = 4 in 5,715
+    words, well inside the 1/16 of the span that layers may take."""
+    C = _random_symplectic_code(F2, 18, 17, random.Random(0))
+    d = certify_stabilizer(C).params.d
+    assert (C.k_dim, d.value, d.status) == (17, 4, EXACT)
+    assert d.visited <= 10**4
 
 
 def _random_combination(f, rows, rng, n):
@@ -260,3 +281,54 @@ def test_css_aqc_purity_matches_classical_minima(q, ip):
             p = css_aqc(C1, C2, b, ip)
             _check_partial(p.pure, full.pure, (p.dz, p.dx, min_weight(C1, budget=b), min_weight(C2, budget=b)))
     assert seen[PURE] >= 3 and seen[IMPURE] >= 1 and symmetric >= 2
+
+
+@pytest.mark.parametrize("small_span", [None, 0])
+def test_purity_walks_stopped_at_the_distance_match_full_walks(monkeypatch, small_span):
+    """`certify`, `css` and `aqc` on random codes over GF(2), GF(3) and
+    GF(4), at full and partial budgets, give the same parameters, purity
+    included, whether the stabilizer-side walks stop at the distance or run
+    on, and a stopped walk's floor never exceeds the true minimum.  Spans
+    within the budget walk whole unless small_span = 0 makes them try
+    layers, which lets most purity walks stop at the distance."""
+    if small_span is not None:
+        monkeypatch.setattr(code, "_SMALL_SPAN", small_span)
+    full_walk = stabilizer.min_weight
+    stops = []
+
+    def targeted(C, wfn="hamming", budget=DEFAULT_BUDGET, target=None):
+        r = full_walk(C, wfn, budget, target=target)
+        if target is not None:
+            assert r.value <= full_walk(C, wfn).value, (C, budget, target)
+            stops.append(r.status == LOWER_BOUND and r.value >= target)
+        return r
+
+    def untargeted(C, wfn="hamming", budget=DEFAULT_BUDGET, target=None):
+        return full_walk(C, wfn, budget)
+
+    def same_with_and_without_targets(run):
+        monkeypatch.setattr(stabilizer, "min_weight", targeted)
+        got = run()
+        monkeypatch.setattr(stabilizer, "min_weight", untargeted)
+        assert got == run()
+
+    rng = random.Random(8008)
+    for q in (2, 3, 4):
+        f = field_of_order(q)
+        ips = AQC_INNER_PRODUCTS if q == 4 else ("euclidean",)
+        for case in range(12):
+            n = rng.randrange(3, {2: 7, 3: 5, 4: 4}[q])
+            C = _random_symplectic_code(f, n, rng.randrange(1, n), rng)
+            for b in [DEFAULT_BUDGET] + _partial_budgets(q ** (2 * n - C.k_dim)):
+                same_with_and_without_targets(lambda: certify_stabilizer(C, b).params)
+            ip = ips[case % len(ips)]
+            for construct in (css, css_aqc):
+                C1, C2 = _random_css_pair(f, n, ip if construct is css_aqc else "euclidean", rng, case % 3)
+                if C1.k_dim + C2.k_dim <= C1.n:
+                    continue
+                for b in [DEFAULT_BUDGET] + _partial_budgets(q ** max(C1.k_dim, C2.k_dim)):
+                    if construct is css:
+                        same_with_and_without_targets(lambda: css(C1, C2, b).params)
+                    else:
+                        same_with_and_without_targets(lambda: css_aqc(C1, C2, b, ip))
+    assert sum(stops) >= (500 if small_span == 0 else 100), (sum(stops), len(stops))

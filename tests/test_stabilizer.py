@@ -13,11 +13,13 @@ from stabforge.code import (
     additive_code,
     dual,
     hamming_weight,
+    hull,
     linear_code,
     min_weight,
     phi_code,
     quantum_weight,
     symplectic_code,
+    symplectic_pair,
 )
 from stabforge.errors import (
     BadRule,
@@ -27,7 +29,7 @@ from stabforge.errors import (
     NotNested,
     NotSelfOrthogonal,
 )
-from stabforge.gf import field_make
+from stabforge.gf import field_make, field_of_order
 from stabforge.stabilizer import (
     IMPURE,
     PURE,
@@ -159,6 +161,40 @@ def test_certify_additive_rejects_non_self_orthogonal(f4):
     assert (exc.value.pair, exc.value.value) == ((0, 1), 1)
 
 
+def _first_failing_pair(C):
+    """Reference: the scalar loop over generator pairs i <= j."""
+    rows = C.gen.rows
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            v = symplectic_pair(C.field, rows[i], rows[j])
+            if v:
+                return (i, j, v)
+    return None
+
+
+def test_self_orthogonality_witness_matches_the_pairwise_loop():
+    """The all-pairs witness is the scalar loop's first failing pair and its
+    value, over prime and extension fields of both characteristics: on
+    random codes, on their symplectic hulls (self-orthogonal) and on a hull
+    with one random row added, whose failing pairs come late."""
+    rng = random.Random(31)
+    for q in (2, 3, 4, 9, 16):
+        f = field_of_order(q)
+        failing = passing = 0
+        for _ in range(30):
+            n = rng.randrange(2, 8)
+            rows = [[rng.randrange(q) for _ in range(2 * n)] for _ in range(rng.randrange(1, 2 * n))]
+            C = symplectic_code(f, rows)
+            H = hull(C, "symplectic")
+            late = symplectic_code(f, list(H.gen.rows) + [[rng.randrange(q) for _ in range(2 * n)]], half=n)
+            for A in (C, H, late):
+                w = A.self_orthogonality_witness()
+                assert w == _first_failing_pair(A), (A, w)
+                failing += w is not None
+                passing += w is None
+        assert failing and passing, q
+
+
 # -- CSS ------------------------------------------------------------------------
 
 
@@ -281,6 +317,39 @@ def test_certify_walks_stop_once_the_distance_is_proven():
         stab = certify_stabilizer(css(inner, inner).code)
         assert format_params(stab.params) == params and stab.params.pure == PURE
         assert stab.params.d.status == EXACT and stab.params.d.visited <= most
+
+
+def test_purity_walk_stops_once_its_floor_reaches_d(monkeypatch):
+    """Golay [[23,1,7]] under seeded local Cliffords, at budget 2^20: its
+    stabilizer spans 2^22 words, beyond the budget.  Purity only needs a
+    floor of d = 7 there, which layers 1-6 prove in 110,055 words; proving
+    the exact minimum 8 takes 600,369."""
+    import stabforge.stabilizer as stabilizer
+
+    walks = []
+
+    def record(C, *args, _fn=stabilizer.min_weight, **kw):
+        walks.append(_fn(C, *args, **kw))
+        return walks[-1]
+
+    monkeypatch.setattr(stabilizer, "min_weight", record)
+    g = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+    golay = linear_code(F2, [(0,) * i + g + (0,) * (11 - i) for i in range(12)])
+    block = css(golay, golay).code
+    # each qubit's (a_i | b_i) under one of the six maps of SL(2, 2)
+    sl2 = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 1)),
+           ((1, 1), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0))]
+    rng, n = random.Random(0), 23
+    maps = [rng.choice(sl2) for _ in range(n)]
+    rows = []
+    for r in block.gen.rows:
+        a = [(m[0][0] * r[i] + m[0][1] * r[n + i]) % 2 for i, m in enumerate(maps)]
+        b = [(m[1][0] * r[i] + m[1][1] * r[n + i]) % 2 for i, m in enumerate(maps)]
+        rows.append(tuple(a + b))
+    walks.clear()
+    p = certify_stabilizer(symplectic_code(F2, rows, half=n), budget=2**20).params
+    assert format_params(p) == "[[23,1,7]]_2" and p.d.status == EXACT and p.pure == PURE
+    assert len(walks) == 1 and walks[0].value == 7 and walks[0].visited <= 110_055
 
 
 # -- Steane enlargement ------------------------------------------------------------
