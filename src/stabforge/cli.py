@@ -27,7 +27,6 @@ from .errors import (
     CodeFileError,
     EmptyDifference,
     EnlargementTooSmall,
-    HypothesisViolated,
     NotDualContaining,
     NotEnlargement,
     NotNested,
@@ -344,9 +343,6 @@ def run(argv) -> int:
         return 1
     except (CodeFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except HypothesisViolated as e:
-        print(f"error: {args.command}: {e}", file=sys.stderr)
         return 2
     except StabforgeError as e:
         print(f"error: {args.command}: {e}", file=sys.stderr)

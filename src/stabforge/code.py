@@ -6,9 +6,14 @@ with an enumeration budget, the coordinate bridge Phi between symplectic
 vectors in F_q^{2n} and additive codes in F_{q^2}^n, and the line-oriented
 code file format.
 
-Additive codes (F_q-linear subsets of F_{q^2}^n) are canonicalized and
-row-reduced in their Phi-preimage, where they are plain F_q-linear; one
-kernel routine then serves every dual.
+A code is one canonical basis over its linearity field, reduced once when
+the code is built: rows of F_q^n for a linear code, and Phi-preimage rows
+(a|b) in F_q^{2n} for an additive code in F_{q^2}^n, which is F_q-linear
+there.  Membership, sums, hulls and minimum weights all read that basis;
+a linear code meets an additive one by being viewed as additive.  Under
+Phi the trace-alternating form is the symplectic form, and the symplectic
+and both trace pairings are one 2 x 2 matrix per qudit on (a|b)
+coordinates, so their duals are one kernel.
 
 Minimum weights come from one search over every field (`_search`).  It
 walks a code's span in numpy blocks of at most _BLOCK codewords, either
@@ -188,37 +193,38 @@ def symplectic_pair(f: Field, u, v) -> int:
 
 
 class LinearCode:
-    """A linear (or additive-over-the-index-2-subfield) code, held as a
-    canonical rref generator matrix.
+    """A linear or additive code, held as one canonical basis.
 
-    For additive codes the canonical form is computed in the Phi-preimage;
-    `k_dim` counts dimension over the linearity field (the field itself
-    for linear codes, GF(sqrt(q)) for additive ones).
+    `basis` is the rref of the spanning rows over the linearity field:
+    F_q^n rows for a linear code, Phi-preimage rows (a|b) in F_r^{2n} for
+    an additive code over F_q, r = sqrt(q).  `pivots` are its pivot
+    columns and `k_dim` its rank, the dimension over that field.  `gen` is
+    the basis itself for a linear code and its Phi image in F_q^n for an
+    additive one; the constructor is the only place a code is reduced.
     """
 
-    def __init__(self, field: Field, n: int, gen: FqMatrix, linearity: str = LINEAR):
+    def __init__(self, field: Field, n: int, rows, linearity: str = LINEAR):
         self.field = field
         self.n = n
         self.linearity = linearity
-        self.gen = gen
-        self.k_dim = gen.nrows
         if linearity == LINEAR:
-            _, _, self._pivots = fmatrix.rref(gen)
-            self._pre = None
+            self.basis, self.k_dim, self.pivots = fmatrix.rref(fmatrix.matrix(field, rows, n))
+            self.gen = self.basis
         else:
             ext = quad_ext(field)
-            pre = fmatrix.matrix(ext.sub, [ext.phi_inv(r) for r in gen.rows], 2 * n)
-            self._pre, _, self._pivots = fmatrix.rref(pre)
+            self.basis, self.k_dim, self.pivots = fmatrix.rref(fmatrix.matrix(ext.sub, rows, 2 * n))
+            self.gen = FqMatrix(field, tuple(ext.phi(r) for r in self.basis.rows), n)
 
     @property
     def is_additive(self) -> bool:
         return self.linearity == ADDITIVE
 
+    def coords(self, v) -> tuple[int, ...]:
+        """A word of the code's ambient space in the columns of `basis`."""
+        return quad_ext(self.field).phi_inv(v) if self.is_additive else tuple(v)
+
     def contains(self, v) -> bool:
-        if self.is_additive:
-            ext = quad_ext(self.field)
-            return fmatrix.in_span(self._pre, self._pivots, ext.phi_inv(v))
-        return fmatrix.in_span(self.gen, self._pivots, v)
+        return fmatrix.in_span(self.basis, self.pivots, self.coords(v))
 
     def __eq__(self, other) -> bool:
         return (
@@ -242,10 +248,10 @@ class LinearCode:
 class SymplecticCode(LinearCode):
     """A linear code in F_q^{2n} whose columns split as (a|b)."""
 
-    def __init__(self, field: Field, n: int, gen: FqMatrix):
+    def __init__(self, field: Field, n: int, rows):
         if n % 2:
             raise OddLength("symplectic codes need an even number of columns")
-        super().__init__(field, n, gen, LINEAR)
+        super().__init__(field, n, rows, LINEAR)
 
     @property
     def half(self) -> int:
@@ -293,9 +299,7 @@ def linear_code(field: Field, rows, n: int | None = None) -> LinearCode:
         if not rows:
             raise DimensionMismatch("length required for a code with no generators")
         n = len(rows[0])
-    M = fmatrix.matrix(field, rows, n)
-    R, _, _ = fmatrix.rref(M)
-    return LinearCode(field, n, R, LINEAR)
+    return LinearCode(field, n, rows, LINEAR)
 
 
 def symplectic_code(field: Field, rows, half: int | None = None) -> SymplecticCode:
@@ -307,9 +311,7 @@ def symplectic_code(field: Field, rows, half: int | None = None) -> SymplecticCo
         if len(rows[0]) % 2:
             raise OddLength("symplectic rows must have even length")
         half = len(rows[0]) // 2
-    M = fmatrix.matrix(field, rows, 2 * half)
-    R, _, _ = fmatrix.rref(M)
-    return SymplecticCode(field, 2 * half, R)
+    return SymplecticCode(field, 2 * half, rows)
 
 
 def additive_code(field: Field, rows, n: int | None = None) -> LinearCode:
@@ -320,10 +322,8 @@ def additive_code(field: Field, rows, n: int | None = None) -> LinearCode:
         if not rows:
             raise DimensionMismatch("length required for a code with no generators")
         n = len(rows[0])
-    pre = fmatrix.matrix(ext.sub, [ext.phi_inv(tuple(int(x) for x in r)) for r in rows], 2 * n)
-    R, _, _ = fmatrix.rref(pre)
-    fwd = fmatrix.matrix(field, [ext.phi(r) for r in R.rows], n) if R.rows else fmatrix.zeros(field, 0, n)
-    return LinearCode(field, n, fwd, ADDITIVE)
+    M = fmatrix.matrix(field, rows, n)  # entries in range before they are split
+    return LinearCode(field, n, [ext.phi_inv(r) for r in M.rows], ADDITIVE)
 
 
 def as_additive(C: LinearCode) -> LinearCode:
@@ -340,15 +340,13 @@ def as_additive(C: LinearCode) -> LinearCode:
 
 def phi_code(C: SymplecticCode) -> LinearCode:
     """Phi image of a symplectic code: an additive code over GF(q^2)."""
-    ext = quad_ext_of(C.field)
-    rows = [ext.phi(r) for r in C.gen.rows]
-    return additive_code(ext.big, rows, C.half)
+    return LinearCode(quad_ext_of(C.field).big, C.half, C.basis, ADDITIVE)
 
 
 def phi_inv_code(C: LinearCode) -> SymplecticCode:
     """Phi preimage of an additive (or linear, viewed additively) code."""
     A = as_additive(C)
-    return SymplecticCode(quad_ext(A.field).sub, 2 * A.n, A._pre)
+    return SymplecticCode(A.basis.field, 2 * A.n, A.basis)
 
 
 def phi_map(x, field: Field | None = None):
@@ -370,14 +368,20 @@ def phi_inv_map(x, field: Field | None = None):
     return quad_ext(field).phi_inv(tuple(int(v) for v in x))
 
 
-def is_subcode(B: LinearCode, A: LinearCode) -> bool:
-    """Whether every generator of B lies in the span of A."""
+def _same_kind(A: LinearCode, B: LinearCode) -> tuple[LinearCode, LinearCode]:
+    """Two codes of one ambient space with bases in the same columns: both
+    viewed as additive codes when either one is."""
     if A.field is not B.field or A.n != B.n:
         raise DimensionMismatch("codes live in different ambient spaces")
-    if A.is_additive or B.is_additive:
-        A2, B2 = as_additive(A), as_additive(B)
-        return all(A2.contains(r) for r in B2.gen.rows)
-    return all(A.contains(r) for r in B.gen.rows)
+    if A.linearity != B.linearity:
+        return as_additive(A), as_additive(B)
+    return A, B
+
+
+def is_subcode(B: LinearCode, A: LinearCode) -> bool:
+    """Whether every generator of B lies in the span of A."""
+    A, B = _same_kind(A, B)
+    return all(fmatrix.in_span(A.basis, A.pivots, r) for r in B.basis.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -387,73 +391,69 @@ def is_subcode(B: LinearCode, A: LinearCode) -> bool:
 def dual(C: LinearCode, ip: str) -> LinearCode:
     """Dual code under the named pairing.
 
-    Trace pairings on additive input (and trace_alternating generally)
-    return additive codes; the classical pairings require linear input.
+    The classical pairings take linear input and kernel its generator
+    matrix (entrywise conjugated for Hermitian).  The symplectic pairing on
+    F_q^{2n} and the trace pairings on GF(q^2)^n, whose input is viewed as
+    additive and whose dual is additive, are one F_q-bilinear form on (a|b)
+    coordinates: the sum over qudits of x_i^T P y_i for x_i = (a_i, b_i),
+    where P is the 2 x 2 matrix of the scalar pairing at one qudit.  The
+    dual is the kernel of the basis rows transformed by P.
     """
     f = C.field
     if ip not in INNER_PRODUCTS:
         raise StabforgeError(f"unknown inner product {ip!r}")
+    if ip in ("euclidean", "trace_euclidean", "hermitian"):
+        if C.is_additive:
+            raise StabforgeError(f"{ip} dual is defined here for linear codes only")
+        M = C.gen
+        if ip == "hermitian":
+            if f.m % 2:
+                raise WrongFieldOrder(f"hermitian dual needs square order, got GF({f.q})")
+            M = fmatrix.entrywise_frob(C.gen, f.m // 2)
+        return LinearCode(f, C.n, fmatrix.kernel(M), LINEAR)
+    units = ((1, 0), (0, 1))  # 1 and gamma at one qudit, as (a|b)
     if ip == "symplectic":
         if C.is_additive:
             raise StabforgeError("symplectic dual applies to F_q^{2n} codes")
         if C.n % 2:
             raise OddLength(f"symplectic dual needs even length, got {C.n}")
-        half = C.n // 2
-        constraint = []
-        for r in C.gen.rows:
-            a, b = r[:half], r[half:]
-            constraint.append(tuple(b) + tuple(f.neg(x) for x in a))
-        K = fmatrix.kernel(fmatrix.matrix(f, constraint, C.n))
-        return SymplecticCode(f, C.n, K)
-    if ip in ("euclidean", "trace_euclidean"):
-        if C.is_additive:
-            raise StabforgeError(f"{ip} dual is defined here for linear codes only")
-        K = fmatrix.kernel(C.gen)
-        return LinearCode(f, C.n, K, LINEAR)
-    if ip == "hermitian":
-        if C.is_additive:
-            raise StabforgeError("hermitian dual is defined here for linear codes only")
+        half, base, rows = C.n // 2, f, C.basis.rows
+        P = [[symplectic_pair(f, x, y) for y in units] for x in units]
+    else:
         if f.m % 2:
-            raise WrongFieldOrder(f"hermitian dual needs square order, got GF({f.q})")
-        K = fmatrix.kernel(fmatrix.entrywise_frob(C.gen, f.m // 2))
-        return LinearCode(f, C.n, K, LINEAR)
-    # trace_hermitian / trace_alternating: compute over the subfield
-    if f.m % 2:
-        raise WrongFieldOrder(f"{ip} dual needs square order, got GF({f.q})")
-    ext = quad_ext(f)
-    pair = trace_hermitian_pair if ip == "trace_hermitian" else trace_alternating_pair
-    A = as_additive(C)
-    # one subfield-linear constraint per generator; unknowns are the
-    # Phi-preimage coordinates of the dual vector
-    units = [tuple(ext.phi(tuple(1 if i == j else 0 for j in range(2 * C.n)))) for i in range(2 * C.n)]
+            raise WrongFieldOrder(f"{ip} dual needs square order, got GF({f.q})")
+        ext = quad_ext(f)
+        half, base, rows = C.n, ext.sub, as_additive(C).basis.rows
+        pair = trace_hermitian_pair if ip == "trace_hermitian" else trace_alternating_pair
+        P = [[pair(f, ext.phi(x), ext.phi(y)) for y in units] for x in units]
+    (p_aa, p_ab), (p_ba, p_bb) = P
+    add, mul = base.tables()[:2]
     constraint = []
-    for g in A.gen.rows:
-        constraint.append(tuple(pair(f, g, u) for u in units))
-    K = fmatrix.kernel(fmatrix.matrix(ext.sub, constraint, 2 * C.n))
-    return additive_code(f, [ext.phi(r) for r in K.rows], C.n)
+    for r in rows:
+        a, b = r[:half], r[half:]
+        constraint.append(
+            tuple(add[mul[x][p_aa]][mul[y][p_ba]] for x, y in zip(a, b))
+            + tuple(add[mul[x][p_ab]][mul[y][p_bb]] for x, y in zip(a, b))
+        )
+    K = fmatrix.kernel(fmatrix.matrix(base, constraint, 2 * half))
+    if ip == "symplectic":
+        return SymplecticCode(f, C.n, K)
+    return LinearCode(f, half, K, ADDITIVE)
 
 
 def hull(C: LinearCode, ip: str) -> LinearCode:
     """C intersected with its dual under the named pairing."""
-    D = dual(C, ip)
-    if C.is_additive or D.is_additive:
-        A, B = as_additive(C), as_additive(D)
-        inter = fmatrix.intersect(A._pre, B._pre)
-        ext = quad_ext(C.field)
-        return additive_code(C.field, [ext.phi(r) for r in inter.rows], C.n)
-    inter = fmatrix.intersect(C.gen, D.gen)
-    if isinstance(C, SymplecticCode) and isinstance(D, SymplecticCode):
-        return SymplecticCode(C.field, C.n, inter)
-    return LinearCode(C.field, C.n, inter, LINEAR)
+    A, B = _same_kind(C, dual(C, ip))
+    inter = fmatrix.intersect(A.basis, B.basis)
+    if isinstance(A, SymplecticCode) and isinstance(B, SymplecticCode):
+        return SymplecticCode(A.field, A.n, inter)
+    return LinearCode(A.field, A.n, inter, A.linearity)
 
 
 def sum_code(A: LinearCode, B: LinearCode) -> LinearCode:
-    """Span of the union of two codes of the same kind."""
-    if A.field is not B.field or A.n != B.n:
-        raise DimensionMismatch("codes live in different ambient spaces")
-    if A.is_additive or B.is_additive:
-        return additive_code(A.field, list(as_additive(A).gen.rows) + list(as_additive(B).gen.rows), A.n)
-    return linear_code(A.field, list(A.gen.rows) + list(B.gen.rows), A.n)
+    """Span of the union of two codes, additive if either one is."""
+    A, B = _same_kind(A, B)
+    return LinearCode(A.field, A.n, A.basis.rows + B.basis.rows, A.linearity)
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +671,13 @@ def _weight_domain(C: LinearCode, wfn: str):
     if wfn == "quantum":
         if not isinstance(C, SymplecticCode):
             raise StabforgeError("quantum weight needs a symplectic column layout")
-        return C.field, C.gen, C.half, lambda v: v
+        return C.field, C.basis, C.half, lambda v: v
     if wfn != "hamming":
         raise StabforgeError(f"unknown weight function {wfn!r}")
     if C.is_additive:
         ext = quad_ext(C.field)
-        return ext.sub, C._pre, C.n, ext.phi
-    return C.field, C.gen, 0, lambda v: v
+        return ext.sub, C.basis, C.n, ext.phi
+    return C.field, C.basis, 0, lambda v: v
 
 
 def min_weight(
@@ -700,19 +700,14 @@ def min_weight_diff(
     A: LinearCode, B: LinearCode, wfn: str = "hamming", budget: int = DEFAULT_BUDGET
 ) -> DistanceResult:
     """Minimum weight over A minus B, enumerating A and skipping members
-    of B (membership tested against the row-reduced basis of B)."""
+    of B (membership tested against the basis of B)."""
+    A, B = _same_kind(A, B)
     if not is_subcode(B, A):
         raise NotNested("second code is not a subcode of the first")
-    if wfn == "hamming" and (A.is_additive or B.is_additive):
-        A, B = as_additive(A), as_additive(B)
-        genB = B._pre
-    else:
-        genB = B.gen
     field, gen, half, to_public = _weight_domain(A, wfn)
-    if genB.nrows >= gen.nrows:
+    if B.k_dim >= A.k_dim:
         raise EmptyDifference("codes are equal; the difference is empty")
-    exB, _, pivB = fmatrix.rref(genB)
-    w, status, wit, visited = _search(field, gen, half, budget, (exB, pivB))
+    w, status, wit, visited = _search(field, gen, half, budget, (B.basis, B.pivots))
     witness = to_public(wit) if wit is not None else None
     return DistanceResult(w, status, witness, visited)
 

@@ -73,59 +73,6 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return (p, m) if q == 1 else None
 
 
-# -- polynomial helpers over GF(p), coefficient tuples, lowest degree first
-
-
-def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
-    """Whether monic d divides f over GF(p)."""
-    r = list(f)
-    dd = len(d) - 1
-    while len(_poly_trim(tuple(r))) - 1 >= dd and _poly_trim(tuple(r)):
-        r = list(_poly_trim(tuple(r)))
-        if len(r) - 1 < dd:
-            break
-        c = r[-1]
-        shift = len(r) - 1 - dd
-        for j in range(dd + 1):
-            r[shift + j] = (r[shift + j] - c * d[j]) % p
-        r = list(_poly_trim(tuple(r)))
-        if not r:
-            return True
-    return not _poly_trim(tuple(r))
-
-
-def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Exhaustive root/factor check, valid for degree <= 8."""
-    m = len(mod) - 1
-    if m == 1:
-        return True
-    for x in range(p):  # linear factors
-        acc = 0
-        for c in reversed(mod):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    # trial division by monic polynomials of degree 2 .. m//2
-    for deg in range(2, m // 2 + 1):
-        for enc in range(p**deg):
-            cand = []
-            e = enc
-            for _ in range(deg):
-                cand.append(e % p)
-                e //= p
-            cand.append(1)
-            if _poly_divides(tuple(cand), mod, p):
-                return False
-    return True
-
-
 class Field:
     """A finite field GF(p^m) with fixed modulus, q = p^m <= 256.
 
@@ -143,8 +90,6 @@ class Field:
         self.m = m
         self.q = p**m
         self.modulus: tuple[int, ...] = _CONWAY[(p, m)] if m > 1 else (0, 1)
-        if m > 1 and not _is_irreducible(self.modulus, p):
-            raise RuntimeError(f"modulus table entry for GF({p}^{m}) is reducible")
         self._build_tables()
         self._embeddings: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
 
@@ -184,6 +129,9 @@ class Field:
             for _ in range(q - 2):
                 v = exp[-1]
                 exp.append(self._add[v % top * p][fold[v // top]])
+            # q - 1 distinct nonzero powers make x a unit (the ideal xR would
+            # hold q - 1 of the q residues otherwise) of order q - 1, so every
+            # nonzero residue is a unit: a reducible modulus fails here too
             if 0 in exp or len(set(exp)) != q - 1:
                 raise RuntimeError(f"x is not primitive in GF({q})")
             log = np.zeros(q, dtype=np.int64)

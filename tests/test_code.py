@@ -10,13 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stabforge import code
+from stabforge import code, fmatrix
 from stabforge.code import (
     _BLOCK,
     _weight_domain,
     DEFAULT_BUDGET,
     EXACT,
     LOWER_BOUND,
+    LinearCode,
     additive_code,
     as_additive,
     dual,
@@ -25,6 +26,7 @@ from stabforge.code import (
     hull,
     is_subcode,
     linear_code,
+    load_code,
     min_weight,
     min_weight_diff,
     parse_code,
@@ -256,6 +258,50 @@ def test_symplectic_dual_requires_even_length(f2):
     C = linear_code(f2, [(1, 0, 0)])
     with pytest.raises(OddLength):
         dual(C, "symplectic")
+
+
+def _reference_dual(C, ip):
+    """Reference model of `dual`: one constraint per generator, the scalar
+    pairing of each unit vector of the unknowns with that generator (the
+    Hermitian pairing is linear in its first argument only), then a kernel.
+    For a linear code the trace-Euclidean dual is the Euclidean one; the
+    trace pairings solve for the Phi-preimage coordinates of an additive
+    dual, so their unit vectors are those of F_r^{2n} mapped through Phi."""
+    f, n = C.field, C.n
+    if ip in ("euclidean", "trace_euclidean", "hermitian", "symplectic"):
+        pair = {"hermitian": hermitian_pair, "symplectic": symplectic_pair}.get(ip, lambda f, u, v: f.dot(u, v))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        K = fmatrix.kernel(fmatrix.matrix(f, [[pair(f, u, g) for u in units] for g in C.gen.rows], n))
+        if ip == "symplectic":
+            return symplectic_code(f, K.rows, half=n // 2)
+        return linear_code(f, K.rows, n)
+    ext = quad_ext(f)
+    pair = trace_hermitian_pair if ip == "trace_hermitian" else trace_alternating_pair
+    units = [ext.phi(tuple(int(i == j) for j in range(2 * n))) for i in range(2 * n)]
+    gens = as_additive(C).gen.rows
+    K = fmatrix.kernel(fmatrix.matrix(ext.sub, [[pair(f, u, g) for u in units] for g in gens], 2 * n))
+    return additive_code(f, [ext.phi(r) for r in K.rows], n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81])
+def test_dual_matches_unit_vector_reference(q):
+    f = field_of_order(q)
+    rng = random.Random(1009 * q)
+    for _ in range(10):
+        n = rng.randrange(1, 6)
+
+        def rows(count, length):
+            return [[rng.randrange(q) for _ in range(length)] for _ in range(count)]
+
+        cases = [(random_linear(f, rng.randrange(n + 1), n, rng), ("euclidean", "trace_euclidean"))]
+        cases.append((symplectic_code(f, rows(rng.randrange(2 * n + 1), 2 * n), half=n), ("symplectic",)))
+        if f.m % 2 == 0:
+            trace = ("trace_hermitian", "trace_alternating")
+            cases.append((cases[0][0], ("hermitian",) + trace))
+            cases.append((additive_code(f, rows(rng.randrange(2 * n + 1), n), n), trace))
+        for C, ips in cases:
+            for ip in ips:
+                assert dump_code(dual(C, ip)) == dump_code(_reference_dual(C, ip)), (q, n, ip)
 
 
 # -- subcodes and hulls --------------------------------------------------------
@@ -936,6 +982,47 @@ def test_linear_trace_hermitian_self_orthogonal_gf4_code_is_even(hexacode):
 def test_sum_code(f2, hamming74, simplex73):
     S = sum_code(hamming74, simplex73)
     assert S.gen.rows == hamming74.gen.rows
+
+
+def test_each_constructor_reduces_once(monkeypatch, tmp_path, f3, f4):
+    rows4 = [(1, 2, 3, 0), (2, 3, 1, 0), (0, 1, 1, 1), (1, 3, 2, 1)]
+    rows3 = [(1, 2, 0, 1), (2, 1, 0, 2), (0, 1, 1, 1)]
+    files = []
+    for name, C in (("lin", linear_code(f4, rows4)), ("sym", symplectic_code(f3, rows3)),
+                    ("add", additive_code(f4, rows4))):
+        files.append(tmp_path / f"{name}.code")
+        files[-1].write_text(dump_code(C))
+    calls = []
+
+    def counting_rref(M):
+        calls.append(M)
+        return real_rref(M)
+
+    real_rref = fmatrix.rref
+    monkeypatch.setattr(fmatrix, "rref", counting_rref)
+    builds = [lambda: linear_code(f4, rows4), lambda: symplectic_code(f3, rows3),
+              lambda: additive_code(f4, rows4)] + [lambda path=path: load_code(path) for path in files]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+
+
+def test_constructor_reduces_dependent_rows(f3, f4):
+    rng = random.Random(83)
+    ext = quad_ext(f4)
+    for _ in range(10):
+        base = [[rng.randrange(4) for _ in range(5)] for _ in range(2)]
+        rows = base + [[f4.add(x, f4.mul(2, y)) for x, y in zip(*base)], [f4.mul(3, x) for x in base[1]]]
+        C = linear_code(f4, rows)
+        assert LinearCode(f4, 5, rows) == C
+        assert LinearCode(f4, 5, fmatrix.matrix(f4, rows, 5)) == C
+        assert C.k_dim == fmatrix.rank(fmatrix.matrix(f4, rows, 5))
+        A = additive_code(f4, rows)
+        assert LinearCode(f4, 5, [ext.phi_inv(r) for r in rows], "additive") == A
+        sym = [[rng.randrange(3) for _ in range(6)] for _ in range(2)]
+        sym.append([f3.add(x, y) for x, y in zip(*sym)])
+        assert SymplecticCode(f3, 6, sym) == symplectic_code(f3, sym)
 
 
 def test_file_roundtrip(ex512, hamming74, hexacode_additive):

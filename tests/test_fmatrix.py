@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from stabforge.code import linear_code
+from stabforge.code import additive_code, linear_code
 from stabforge.errors import BadRange, DimensionMismatch
 from stabforge.fmatrix import (
     FqMatrix,
@@ -173,6 +173,8 @@ def test_matrix_rejects_entry_above_field():
     # the rows into (1, 0), (0, 3) of a different code
     with pytest.raises(BadRange, match="entry 5"):
         linear_code(F4, [(5, 0), (0, 7)])
+    with pytest.raises(BadRange, match="entry 5"):
+        additive_code(F4, [(5, 0, 1)])
     with pytest.raises(BadRange, match="entry 2"):
         matrix(F2, [(1, 0), (0, 2)])
     assert matrix(F4, [(3, 0), (0, 1)]).rows == ((3, 0), (0, 1))

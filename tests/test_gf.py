@@ -8,7 +8,8 @@ import random
 import pytest
 
 from stabforge.errors import NotPrime, NotSubfield, UnsupportedSize
-from stabforge.gf import field_make, field_of_order, frobenius, trace
+from stabforge import gf
+from stabforge.gf import Field, field_make, field_of_order, frobenius, trace
 
 
 def poly_mulmod(a, b, mod, p):
@@ -85,6 +86,18 @@ def test_gf9_modulus_irreducible_by_evaluation():
     assert F9.modulus == (2, 2, 1)
     for x in (0, 1, 2):
         assert (x * x + 2 * x + 2) % 3 != 0
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [(2, 2, (1, 0, 1)), (2, 2, (0, 1, 1)), (2, 4, (1, 1, 1, 1, 1))],
+    ids=["x2+1-reducible", "x2+x-reducible", "gf16-irreducible-not-primitive"],
+)
+def test_bad_modulus_is_rejected_when_tables_are_built(monkeypatch, p, m, modulus):
+    # Field itself, not the cached field_make, so the patched entry is read
+    monkeypatch.setitem(gf._CONWAY, (p, m), modulus)
+    with pytest.raises(RuntimeError, match="not primitive"):
+        Field(p, m)
 
 
 @pytest.mark.parametrize("p,m", FIELDS)
