@@ -9,6 +9,7 @@ or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bounds as bounds_mod
@@ -330,10 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` reuses, built on its first call rather than at import.
+
+    Parsing leaves the parser unchanged, and argparse looks up
+    `sys.stdout`/`sys.stderr` only when it prints, so one parser serves
+    every call in a process, redirected or not.
+    """
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code; safe to call repeatedly."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

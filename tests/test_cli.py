@@ -319,3 +319,44 @@ def test_deterministic_output(files, capsys):
     first = capsys.readouterr().out
     run(["certify", "--in", str(files["ex512"]), "--kv"])
     assert capsys.readouterr().out == first
+
+
+def test_run_reuses_one_parser_across_calls(files, capsys, monkeypatch):
+    import stabforge.cli as cli
+
+    bad = files["dir"] / "broken.sym"
+    bad.write_text("field GF(2)\nlength 2\nkind symplectic\nrows\n1 0 x 0\n")
+    certify = ["certify", "--in", str(files["ex512"]), "--kv"]
+    sequence = [
+        certify,
+        ["certify", "--budget", "26"],
+        ["certify", "--in", str(files["ex512"]), "--budget", "65"],
+        ["certify", "--help"],
+        ["certify", "--in", str(bad)],
+        certify,
+    ]
+
+    def call(argv):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 2, 0]
+    assert "--in" in fresh[1][2] and "--budget" in fresh[2][2]
+    assert fresh[3][1].startswith("usage: stabforge certify") and fresh[3][2] == ""
+    assert f"{bad}:5:" in fresh[4][2]
+    assert fresh[5] == fresh[0]
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert [call(argv) for argv in sequence] == fresh
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
