@@ -21,7 +21,7 @@ from .code import (
     save_code,
     symplectic_code,
 )
-from .gf import Field, FieldElement, field_make, field_of_order, frobenius, trace
+from .gf import Field, field_make, field_of_order
 from .pauli import (
     PauliOperator,
     commute_phase,

@@ -100,7 +100,7 @@ class QuadExt:
         self.big = big
         self.sub = field_make(big.p, big.m // 2)
         self.fwd, self.back = big.embedding(self.sub)
-        self.gamma = big.x.rep
+        self.gamma = big.p  # the residue of x, as a quadratic extension has m >= 2
         conj_gamma = big.conj(self.gamma)
         if big.sub(self.gamma, conj_gamma) == 0:
             raise WrongFieldOrder("gamma is fixed by conjugation; not a basis generator")
@@ -133,11 +133,6 @@ class QuadExt:
 @lru_cache(maxsize=None)
 def quad_ext(big: Field) -> QuadExt:
     return QuadExt(big)
-
-
-def quad_ext_of(sub: Field) -> QuadExt:
-    """The quadratic extension sitting above a base field."""
-    return quad_ext(field_make(sub.p, 2 * sub.m))
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +335,13 @@ def as_additive(C: LinearCode) -> LinearCode:
 
 def phi_code(C: SymplecticCode) -> LinearCode:
     """Phi image of a symplectic code: an additive code over GF(q^2)."""
-    return LinearCode(quad_ext_of(C.field).big, C.half, C.basis, ADDITIVE)
+    return LinearCode(field_make(C.field.p, 2 * C.field.m), C.half, C.basis, ADDITIVE)
 
 
 def phi_inv_code(C: LinearCode) -> SymplecticCode:
     """Phi preimage of an additive (or linear, viewed additively) code."""
     A = as_additive(C)
     return SymplecticCode(A.basis.field, 2 * A.n, A.basis)
-
-
-def phi_map(x, field: Field | None = None):
-    """Phi on a symplectic code, or on an (a|b) vector given the target
-    square-order field."""
-    if isinstance(x, SymplecticCode):
-        return phi_code(x)
-    if field is None:
-        raise WrongFieldOrder("vector form needs the target GF(q^2)")
-    return quad_ext(field).phi(tuple(int(v) for v in x))
-
-
-def phi_inv_map(x, field: Field | None = None):
-    """Inverse of phi_map; `field` is the GF(q^2) the vector lives in."""
-    if isinstance(x, LinearCode):
-        return phi_inv_code(x)
-    if field is None:
-        raise WrongFieldOrder("vector form needs its GF(q^2)")
-    return quad_ext(field).phi_inv(tuple(int(v) for v in x))
 
 
 def _same_kind(A: LinearCode, B: LinearCode) -> tuple[LinearCode, LinearCode]:
@@ -749,6 +725,7 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
     kind = None
     numbered_rows = []
     in_rows = False
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -759,29 +736,35 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
             except ValueError:
                 raise CodeFileError(f"{name}:{lineno}: row entries must be integers")
             continue
-        if line.startswith("field"):
-            tok = line.split(None, 1)[1].strip() if " " in line else ""
+        if line == "rows":
+            in_rows = True
+            continue
+        key, *values = line.split()
+        if key not in ("field", "length", "kind"):
+            raise CodeFileError(f"{name}:{lineno}: unrecognized header line {line!r}")
+        if key in seen:
+            raise CodeFileError(f"{name}:{lineno}: repeated {key!r} header")
+        seen.add(key)
+        # each header takes exactly one value; a missing or extra one fails its check
+        tok = values[0] if len(values) == 1 else ""
+        if key == "field":
             if not (tok.startswith("GF(") and tok.endswith(")")):
                 raise CodeFileError(f"{name}:{lineno}: expected 'field GF(q)'")
             try:
                 field = field_of_order(int(tok[3:-1]))
             except (ValueError, StabforgeError) as e:
                 raise CodeFileError(f"{name}:{lineno}: bad field order ({e})")
-        elif line.startswith("length"):
+        elif key == "length":
             try:
-                length = int(line.split()[1])
-            except (IndexError, ValueError):
+                length = int(tok)
+            except ValueError:
                 length = 0
             if length < 1:
                 raise CodeFileError(f"{name}:{lineno}: expected 'length n' with n >= 1")
-        elif line.startswith("kind"):
-            kind = line.split()[1] if len(line.split()) > 1 else ""
+        else:
+            kind = tok
             if kind not in (LINEAR, ADDITIVE, SYMPLECTIC):
                 raise CodeFileError(f"{name}:{lineno}: kind must be linear|additive|symplectic")
-        elif line == "rows":
-            in_rows = True
-        else:
-            raise CodeFileError(f"{name}:{lineno}: unrecognized header line {line!r}")
     if field is None or length is None or kind is None:
         raise CodeFileError(f"{name}: missing field/length/kind header")
     expected = 2 * length if kind == SYMPLECTIC else length
@@ -801,8 +784,16 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
 
 
 def load_code(path) -> LinearCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read(), name=str(path))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the bytes before the bad one decode; the bad byte sits on the last
+        # of their lines, counted as parse_code counts them
+        lineno = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        raise CodeFileError(f"{path}:{lineno}: byte 0x{data[e.start]:02x} is not UTF-8")
+    return parse_code(text, name=str(path))
 
 
 def save_code(C: LinearCode, path) -> None:

@@ -17,7 +17,6 @@ powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -266,22 +265,6 @@ class Field:
         scales a vector."""
         return self._add, self._mul, self._neg, self._inv
 
-    def element(self, rep: int) -> FieldElement:
-        return FieldElement(self, rep % self.q)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    @property
-    def x(self) -> FieldElement:
-        """The residue class of x, the canonical generator for m >= 2."""
-        return FieldElement(self, self.p if self.m > 1 else 1)
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
@@ -301,55 +284,3 @@ def field_of_order(q: int) -> Field:
         raise NotPrime(f"{q} is not a prime power")
     return field_make(*pm)
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a fixed field, canonical residue encoding."""
-
-    field: Field
-    rep: int
-
-    def _check(self, other: FieldElement):
-        if other.field is not self.field:
-            raise NotSubfield("elements live in different fields")
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.rep, other.rep))
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.rep, other.rep))
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, self.field.neg(self.rep))
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.rep, other.rep))
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.rep, other.rep))
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.field, self.field.pow(self.rep, e))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.rep))
-
-    def __bool__(self) -> bool:
-        return self.rep != 0
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q})[{self.rep}]"
-
-
-def frobenius(x: FieldElement, k: int = 1) -> FieldElement:
-    """x^(p^k); bijective on the field, identity when k is the degree."""
-    return FieldElement(x.field, x.field.frob(x.rep, k))
-
-
-def trace(x: FieldElement, sub: Field) -> FieldElement:
-    """Trace map down to a subfield: sum of the conjugates of x over sub."""
-    return FieldElement(sub, x.field.trace_to(x.rep, sub))

@@ -59,7 +59,7 @@ from .errors import (
     WrongFieldOrder,
 )
 from .gf import _prime_power, field_of_order
-from .pauli import hermitian_phases, pauli_format, pauli_from_vector
+from .pauli import pauli_format, pauli_from_vector
 
 PURE = "pure"
 IMPURE = "impure"
@@ -96,6 +96,10 @@ class CodeParams:
             raise StabforgeError("exactly one of d or (dz, dx) must be set")
         if (self.dz is None) != (self.dx is None):
             raise StabforgeError("dz and dx must be set together")
+        for name in ("d", "dz", "dx"):
+            dist = getattr(self, name)
+            if dist is not None and dist.value < 1:
+                raise StabforgeError(f"distance {name}={dist.value} must be at least 1")
         if (
             self.ebits is None
             and self.d is not None
@@ -114,13 +118,17 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """A certified stabilizer code with its cached symplectic dual and the
-    generator phases of the Hermitian lift (qubit case)."""
+    """A certified stabilizer code: the symplectic self-orthogonal code and
+    the parameters certified for it.  The symplectic dual is computed when
+    it is read; `generator_set(stab.code).phases` gives the generator
+    phases of the Hermitian lift."""
 
     code: SymplecticCode
-    dual: SymplecticCode
     params: CodeParams
-    phases: tuple[int, ...]
+
+    @property
+    def dual(self) -> SymplecticCode:
+        return dual(self.code, "symplectic")
 
     def __iter__(self):
         # `stab, params = css(...)` still unpacks, for callers written when
@@ -166,18 +174,16 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
         raise NotSelfOrthogonal(*witness)
     n = C.half
     k = n - C.k_dim
-    D = dual(C, "symplectic")
     tag = f"certify_stabilizer(C:{code_digest(C)})"
     if k > 0:
-        d = min_weight_diff(D, C, "quantum", budget)
+        d = min_weight_diff(dual(C, "symplectic"), C, "quantum", budget)
         pure = _purity((d, _stabilizer_min(C, "quantum", budget, d.value)))
     else:
         d = min_weight(C, "quantum", budget)
         pure = PURE
         tag += "|k0-selfdual"
     params = CodeParams(q=C.field.q, n=n, k=k, d=d, pure=pure, provenance=tag)
-    phases = hermitian_phases(C.field, C.gen.rows)
-    return StabilizerCode(code=C, dual=D, params=params, phases=phases)
+    return StabilizerCode(code=C, params=params)
 
 
 def certify_additive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
@@ -259,8 +265,7 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     m1, m2 = _dual_mins(D1, D2, budget, d.value, d.value)
     pure = _purity((d, m1), (d, m2))
     params = CodeParams(q=f.q, n=n, k=k, d=d, pure=pure, provenance=tag)
-    phases = hermitian_phases(f, block.gen.rows)
-    return StabilizerCode(code=block, dual=dual(block, "symplectic"), params=params, phases=phases)
+    return StabilizerCode(code=block, params=params)
 
 
 def steane_enlarge(C: LinearCode, Cp: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:

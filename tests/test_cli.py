@@ -242,6 +242,13 @@ def test_malformed_file_diagnostic_names_line(files, capsys):
     assert "broken.code" in err and ":5:" in err
 
 
+def test_non_utf8_file_names_line(tmp_path, capsys):
+    bad = tmp_path / "bad.code"
+    bad.write_bytes(b"field GF(2)\nlength 2\nkind linear\nrows\n1 \xff\n")
+    assert run(["info", "--in", str(bad)]) == 2
+    assert f"{bad}:5:" in capsys.readouterr().err
+
+
 def _write_code(path, head, rows):
     path.write_text("\n".join(["field GF(2)", head, "kind symplectic", "rows"] + rows) + "\n")
     return str(path)
@@ -280,6 +287,19 @@ def test_non_prime_power_q_is_usage_error(capsys):
     ):
         assert run(argv) == 2
         assert "not a prime power" in capsys.readouterr().err
+
+
+def test_distance_below_one_is_usage_error(capsys):
+    for argv in (
+        ["bounds", "--singleton", "--params", "5,1,-3,2"],
+        ["bounds", "--hamming", "--params", "5,1,0,2"],
+        ["bounds", "--aqc-singleton", "--params", "5,1,0,2,2"],
+        ["bounds", "--aqc-singleton", "--params", "5,1,2,-1,2"],
+        ["propagate", "--params", "5,1,-1,2", "--rule", "lengthen"],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]}: distance ") and "must be at least 1" in err
 
 
 # --kv certificates, witness included, pinned byte for byte

@@ -440,16 +440,14 @@ def test_min_weight_matches_naive_oracle_dim_10(f2):
     assert r.status == EXACT and r.value == best
 
 
-def test_phi_map_dispatch(ex512, f4):
-    from stabforge.code import phi_map, phi_inv_map
-
-    A = phi_map(ex512)
+def test_phi_code_and_vector_round_trip(ex512, f4):
+    A = phi_code(ex512)
     assert A.is_additive and A.n == 5
-    back = phi_inv_map(A)
+    back = phi_inv_code(A)
     assert back.gen.rows == ex512.gen.rows
     vec = (1, 0, 0, 1)
-    img = phi_map(vec, f4)
-    assert phi_inv_map(img, f4) == vec
+    img = quad_ext(f4).phi(vec)
+    assert quad_ext(f4).phi_inv(img) == vec
 
 
 def test_min_weight_diff_steane_setup(hamming74, simplex73):
@@ -1043,3 +1041,18 @@ def test_parse_errors_name_the_line():
         parse_code("field GF(2)\nlength 3\nkind linear\nrows\n1 0 5\n")
     with pytest.raises(CodeFileError):
         parse_code("length 3\nkind linear\nrows\n")
+
+
+def test_parse_header_keyword_matches_whole_token():
+    with pytest.raises(CodeFileError, match=r"<string>:1: unrecognized header line 'fieldx GF\(2\)'"):
+        parse_code("fieldx GF(2)\nlength 3\nkind linear\nrows\n")
+
+
+def test_parse_header_repeated_is_rejected():
+    with pytest.raises(CodeFileError, match="<string>:2: repeated 'field' header"):
+        parse_code("field GF(2)\nfield GF(3)\nlength 3\nkind linear\nrows\n")
+
+
+def test_parse_header_trailing_value_is_rejected():
+    with pytest.raises(CodeFileError, match="<string>:2: expected 'length n'"):
+        parse_code("field GF(2)\nlength 5 7\nkind linear\nrows\n")

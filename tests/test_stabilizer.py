@@ -244,6 +244,28 @@ def test_css_not_nested(f2, even762):
         css(even762, C2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_css_dual_is_c2_block_plus_c1_block(q):
+    # (x|y) pairs to zero with (C1^perp|0) iff y is in C1, and with
+    # (0|C2^perp) iff x is in C2: the symplectic dual is (C2|0) + (0|C1)
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        n = rng.randrange(2, 6 if q < 9 else 5)
+        c2 = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(1, n + 1))]
+        # C1^perp is spanned by random combinations of the rows of C2
+        d1 = [
+            [f.dot(coeffs, col) for col in zip(*c2)]
+            for coeffs in ([rng.randrange(q) for _ in c2] for _ in range(rng.randrange(1, n + 1)))
+        ]
+        C1, C2 = dual(linear_code(f, d1, n), "euclidean"), linear_code(f, c2, n)
+        zero = (0,) * n
+        want = symplectic_code(
+            f, [tuple(r) + zero for r in C2.gen.rows] + [zero + tuple(r) for r in C1.gen.rows], half=n
+        )
+        assert css(C1, C2).dual == want
+
+
 def test_css_k0_uses_selfdual_convention(hamming74, simplex73):
     p = css(hamming74, simplex73).params
     assert p.k == 0 and "k0-selfdual" in p.provenance
