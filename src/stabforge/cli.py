@@ -16,10 +16,12 @@ from . import bounds as bounds_mod
 from .code import (
     DEFAULT_BUDGET,
     EXACT,
+    INNER_PRODUCTS,
     LOWER_BOUND,
     DistanceResult,
     SymplecticCode,
     code_digest,
+    code_kind,
     dual,
     dump_code,
     load_code,
@@ -36,6 +38,7 @@ from .errors import (
 )
 from .pauli import pauli_format
 from .stabilizer import (
+    AQC_INNER_PRODUCTS,
     PURE,
     UNKNOWN,
     CodeParams,
@@ -61,6 +64,9 @@ _CHECK_FAILURES = (
     EnlargementTooSmall,
     EmptyDifference,
 )
+
+
+_DEFAULT_BUDGET_LOG2 = DEFAULT_BUDGET.bit_length() - 1
 
 
 def _budget(args) -> int:
@@ -224,10 +230,7 @@ def _cmd_kl(args) -> int:
 
 def _cmd_info(args) -> int:
     C = load_code(args.infile)
-    if isinstance(C, SymplecticCode):
-        kind, length = "symplectic", C.half
-    else:
-        kind, length = C.linearity, C.n
+    kind, length = code_kind(C)
     print(f"field=GF({C.field.q})")
     print(f"kind={kind}")
     print(f"length={length}")
@@ -245,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, budget=True):
         if budget:
-            p.add_argument("--budget", type=_budget_log2, default=26, metavar="LOG2",
-                           help="enumeration cap as log2 of codeword visits (default 26)")
+            p.add_argument("--budget", type=_budget_log2, default=_DEFAULT_BUDGET_LOG2, metavar="LOG2",
+                           help=f"enumeration cap as log2 of codeword visits (default {_DEFAULT_BUDGET_LOG2})")
         p.add_argument("--kv", action="store_true", help="machine-readable key=value output")
 
     p = sub.add_parser("certify", help="certify a symplectic or additive self-orthogonal code")
@@ -256,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="dual code under a chosen inner product")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--ip", required=True, choices=[
-        "euclidean", "trace_euclidean", "hermitian", "trace_hermitian",
-        "trace_alternating", "symplectic"])
+    p.add_argument("--ip", required=True, choices=INNER_PRODUCTS)
     p.add_argument("--out", help="write the dual code file here instead of stdout")
     add_common(p, budget=False)
     p.set_defaults(fn=_cmd_dual)
@@ -283,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aqc", help="asymmetric CSS-like construction")
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", required=True)
-    p.add_argument("--ip", default="euclidean", choices=[
-        "euclidean", "trace_euclidean", "hermitian", "trace_hermitian"])
+    p.add_argument("--ip", default="euclidean", choices=AQC_INNER_PRODUCTS)
     add_common(p)
     p.set_defaults(fn=_cmd_aqc)
 

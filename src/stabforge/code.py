@@ -35,6 +35,7 @@ order in which the words are visited.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -451,13 +452,13 @@ class DistanceResult:
         return self.status == EXACT
 
 
-def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude, target=None):
-    """Minimum weight over the nonzero span of `gen` outside span(B).
+def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, target=None) -> DistanceResult:
+    """Minimum `wfn` weight over the nonzero words of C outside B = `exclude`.
 
-    `gen` must be in reduced echelon form; `exclude` is None or B's (rref,
-    pivots).  Returns (value, status, witness, visited), where `visited`
-    counts the words walked: a layered attempt and then the exhaustive
-    walk both count.
+    The walk runs over C's enumeration domain (`_weight_domain`): the span
+    of its basis rows, B given in the same columns.  `visited` counts the
+    words walked: a layered attempt and then the exhaustive walk both
+    count, and the witness is mapped back to a codeword of C.
 
     Words are held as columns of uint8 blocks of at most _BLOCK words.  A
     block is a run of prefix words, each added to every word of a table:
@@ -501,6 +502,7 @@ def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude, targe
     outside B, whatever order the words are visited in: each block's
     lightest words are lexsorted and tested for exclusion in that order.
     """
+    field, gen, quantum_half, to_public = _weight_domain(C, wfn)
     q = field.q
     add_t, mul_t = field.np_tables()
     rows = np.array(gen.rows, dtype=np.uint8)
@@ -530,7 +532,7 @@ def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude, targe
                 vec = tuple(level[:, i].tolist())
                 if v == best_w and vec >= best_v:
                     break
-                if exclude is None or not fmatrix.in_span(*exclude, vec):
+                if exclude is None or not fmatrix.in_span(exclude.basis, exclude.pivots, vec):
                     best_w, best_v = int(v), vec
                     return
             live = live[lw > v]
@@ -553,11 +555,15 @@ def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude, targe
             table = plus(mults[:, i, :, None], table[:, None, :]).reshape(n, -1)
         return blocks(span(idx[:-low]), table) if len(idx) > low else [table]
 
+    def result(status, visited):
+        witness = None if best_v is None else to_public(best_v)
+        return DistanceResult(best_w, status, witness, visited)
+
     total = q**k - 1
     if total <= min(budget, _SMALL_SPAN):
         for W in span(range(k)):
             consider(W)
-        return best_w, EXACT, best_v, total
+        return result(EXACT, total)
 
     # rows grouped by the qudit of their pivot, if a pair's q^2 - 1 words fit
     # a block; sym[j] holds group j's nonzero words
@@ -630,12 +636,12 @@ def _search(field, gen: FqMatrix, quantum_half: int, budget: int, exclude, targe
         visited += layers[t]
         t += 1
     if best_w < floors[t] or t > g:
-        return best_w, EXACT, best_v, visited
+        return result(EXACT, visited)
     if total <= budget and floors[t] < stop:
         for W in span(range(k)):
             consider(W)
-        return best_w, EXACT, best_v, visited + total
-    return floors[t], LOWER_BOUND, None, visited
+        return result(EXACT, visited + total)
+    return DistanceResult(floors[t], LOWER_BOUND, None, visited)
 
 
 def _weight_domain(C: LinearCode, wfn: str):
@@ -666,10 +672,7 @@ def min_weight(
     some word is lighter than the target."""
     if C.k_dim == 0:
         raise ZeroCode("the zero code has no nonzero codeword")
-    field, gen, half, to_public = _weight_domain(C, wfn)
-    w, status, wit, visited = _search(field, gen, half, budget, None, target)
-    witness = to_public(wit) if wit is not None else None
-    return DistanceResult(w, status, witness, visited)
+    return _search(C, wfn, budget, None, target)
 
 
 def min_weight_diff(
@@ -680,12 +683,9 @@ def min_weight_diff(
     A, B = _same_kind(A, B)
     if not is_subcode(B, A):
         raise NotNested("second code is not a subcode of the first")
-    field, gen, half, to_public = _weight_domain(A, wfn)
     if B.k_dim >= A.k_dim:
         raise EmptyDifference("codes are equal; the difference is empty")
-    w, status, wit, visited = _search(field, gen, half, budget, (B.basis, B.pivots))
-    witness = to_public(wit) if wit is not None else None
-    return DistanceResult(w, status, witness, visited)
+    return _search(A, wfn, budget, B)
 
 
 def quantum_weight(vec) -> int:
@@ -702,13 +702,15 @@ def hamming_weight(vec) -> int:
 # file format
 
 
-def dump_code(C: LinearCode) -> str:
+def code_kind(C: LinearCode) -> tuple[str, int]:
+    """The file-format kind of C and its `length` header value."""
     if isinstance(C, SymplecticCode):
-        kind, length = SYMPLECTIC, C.half
-    elif C.is_additive:
-        kind, length = ADDITIVE, C.n
-    else:
-        kind, length = LINEAR, C.n
+        return SYMPLECTIC, C.half
+    return C.linearity, C.n
+
+
+def dump_code(C: LinearCode) -> str:
+    kind, length = code_kind(C)
     lines = [f"field GF({C.field.q})", f"length {length}", f"kind {kind}"]
     if kind == ADDITIVE:
         # gamma is pinned by the fixed modulus; recorded for reproducibility
@@ -786,6 +788,9 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
 def load_code(path) -> LinearCode:
     with open(path, "rb") as fh:
         data = fh.read()
+    # a byte-order mark is dropped as bytes, so error offsets below (unlike
+    # utf-8-sig's) index `data`; it holds no newline, so lines keep their numbers
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:

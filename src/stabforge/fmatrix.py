@@ -141,20 +141,25 @@ def in_span(R: FqMatrix, pivots: tuple[int, ...], v) -> bool:
 
 
 def kernel(M: FqMatrix) -> FqMatrix:
-    """Basis rows of the right null space, in canonical rref."""
+    """Basis rows of the right null space, in canonical rref, from one
+    reduction: M is reduced with its columns reversed, so a pivot row
+    vanishes left of its pivot.  Free column f's null vector, 1 at f and
+    minus the pivot rows' entries at f on their pivots, is then zero left
+    of f and at every other free column: listed by f, already the rref."""
     neg = M.field.tables()[2]
-    R, rk, pivots = rref(M)
+    n = M.ncols
+    R, _, pivots = rref(FqMatrix(M.field, tuple(r[::-1] for r in M.rows), n))
     pivot_set = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [0] * M.ncols
+    for fc in reversed(range(n)):  # reversed columns: original order ascending
+        if fc in pivot_set:
+            continue
+        v = [0] * n
         v[fc] = 1
         for row, pc in zip(R.rows, pivots):
             v[pc] = neg[row[fc]]
-        basis.append(tuple(v))
-    K = FqMatrix(M.field, tuple(basis), M.ncols)
-    return rref(K)[0]
+        basis.append(tuple(v[::-1]))
+    return FqMatrix(M.field, tuple(basis), n)
 
 
 def transpose(M: FqMatrix) -> FqMatrix:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadAlphabet, BadRange, BadSyntax, NotPrime, ShapeMismatch
+from .code import hamming_weight, quantum_weight, symplectic_pair
+from .errors import BadAlphabet, BadRange, BadSyntax, NotPrime, NotSelfOrthogonal, ShapeMismatch
 from .gf import Field, _prime_power, field_make
 
 _LETTER_TO_AB = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -41,6 +42,11 @@ class PauliOperator:
         return f"PauliOperator({pauli_format(self)!r}, q={self.field.q})"
 
 
+def _y_count(a, b) -> int:
+    """Number of qubits where both a and b are 1: the Y letters of X(a) Z(b)."""
+    return sum(x & y for x, y in zip(a, b))
+
+
 def pauli_identity(field: Field, n: int) -> PauliOperator:
     return PauliOperator(field, n, (0,) * n, (0,) * n, 0)
 
@@ -51,10 +57,7 @@ def pauli_from_vector(field: Field, row) -> PauliOperator:
     row = tuple(int(x) for x in row)
     n = len(row) // 2
     a, b = row[:n], row[n:]
-    if field.q == 2:
-        eps = sum(1 for i in range(n) if a[i] and b[i])
-        return PauliOperator(field, n, a, b, eps % 4)
-    return PauliOperator(field, n, a, b, 0)
+    return PauliOperator(field, n, a, b, _y_count(a, b) if field.q == 2 else 0)
 
 
 def hermitian_phases(field: Field, rows) -> tuple[int, ...]:
@@ -63,7 +66,7 @@ def hermitian_phases(field: Field, rows) -> tuple[int, ...]:
     if field.q != 2:
         return (0,) * len(rows)
     n = len(rows[0]) // 2 if rows else 0
-    return tuple(sum(r[i] & r[n + i] for i in range(n)) % 2 for r in rows)
+    return tuple(_y_count(r[:n], r[n:]) % 2 for r in rows)
 
 
 def _check_pair(E: PauliOperator, F: PauliOperator):
@@ -77,32 +80,29 @@ def pauli_mul(E: PauliOperator, F: PauliOperator) -> PauliOperator:
     f = E.field
     a = tuple(f.add(x, y) for x, y in zip(E.a, F.a))
     b = tuple(f.add(x, y) for x, y in zip(E.b, F.b))
-    if f.q == 2:
-        cross = sum(x & y for x, y in zip(F.a, E.b)) % 2
-        phase = (E.phase + F.phase + 2 * cross) % 4
-    else:
-        prime = field_make(f.p, 1)
-        cross = f.trace_to(f.dot(E.b, F.a), prime)
-        phase = (E.phase + F.phase + cross) % f.p
-    return PauliOperator(f, E.n, a, b, phase)
+    cross = f.trace_to(f.dot(E.b, F.a), field_make(f.p, 1))
+    # moving Z(b) past X(a') costs w^cross, and w = i^2 for qubits
+    return PauliOperator(f, E.n, a, b, E.phase + F.phase + (2 if f.q == 2 else 1) * cross)
 
 
 def commute_phase(E: PauliOperator, F: PauliOperator) -> int:
-    """c with E F = w^c F E; zero iff the operators commute."""
+    """c with E F = w^c F E, zero iff the operators commute: the trace to
+    GF(p) of `code.symplectic_pair` b.a' - b'.a of E = (a|b), F = (a'|b')."""
     _check_pair(E, F)
     f = E.field
-    if f.q == 2:
-        return (sum(x & y for x, y in zip(E.a, F.b)) + sum(x & y for x, y in zip(F.a, E.b))) % 2
-    prime = field_make(f.p, 1)
-    return f.trace_to(f.sub(f.dot(E.b, F.a), f.dot(F.b, E.a)), prime)
+    return f.trace_to(symplectic_pair(f, E.a + E.b, F.a + F.b), field_make(f.p, 1))
 
 
 def weights(E: PauliOperator) -> tuple[int, int, int]:
     """(quantum weight, X weight, Z weight)."""
-    wq = sum(1 for x, y in zip(E.a, E.b) if x or y)
-    wx = sum(1 for x in E.a if x)
-    wz = sum(1 for y in E.b if y)
-    return wq, wx, wz
+    return quantum_weight(E.a + E.b), hamming_weight(E.a), hamming_weight(E.b)
+
+
+def not_self_orthogonal(field: Field, rows, i: int, j: int, value: int) -> NotSelfOrthogonal:
+    """The error for generator rows i and j, (a|b) vectors pairing to
+    `value`, naming both as operators in the certificate witness format."""
+    ops = [pauli_format(pauli_from_vector(field, rows[x])) for x in (i, j)]
+    return NotSelfOrthogonal(i, j, value, f"generators {ops[0]} and {ops[1]} have symplectic pairing {value} != 0")
 
 
 def error_set_size(n: int, delta: int, q: int, with_phases: bool = False) -> int:
@@ -135,15 +135,13 @@ def pauli_parse(s: str, field: Field) -> PauliOperator:
         if not body:
             raise BadSyntax("empty operator string")
         a, b = [], []
-        eps = 0
         for ch in body:
             if ch not in _LETTER_TO_AB:
                 raise BadAlphabet(f"letter {ch!r} not in I/X/Z/Y")
             ai, bi = _LETTER_TO_AB[ch]
             a.append(ai)
             b.append(bi)
-            eps += ai & bi
-        return PauliOperator(field, len(a), tuple(a), tuple(b), (phase + eps) % 4)
+        return PauliOperator(field, len(a), tuple(a), tuple(b), phase + _y_count(a, b))
     parts = s.split(";")
     if len(parts) != 3:
         raise BadSyntax("expected 'X:..;Z:..;w:..'")
@@ -169,8 +167,7 @@ def pauli_parse(s: str, field: Field) -> PauliOperator:
 def pauli_format(E: PauliOperator) -> str:
     """Canonical string form; inverse of pauli_parse."""
     if E.field.q == 2:
-        eps = sum(x & y for x, y in zip(E.a, E.b))
-        prefix = _PHASE_TO_PREFIX[(E.phase - eps) % 4]
+        prefix = _PHASE_TO_PREFIX[(E.phase - _y_count(E.a, E.b)) % 4]
         letters = "".join(_AB_TO_LETTER[(x, y)] for x, y in zip(E.a, E.b))
         return prefix + letters
     return (

@@ -54,12 +54,11 @@ from .errors import (
     NotDualContaining,
     NotEnlargement,
     NotNested,
-    NotSelfOrthogonal,
     StabforgeError,
     WrongFieldOrder,
 )
 from .gf import _prime_power, field_of_order
-from .pauli import pauli_format, pauli_from_vector
+from .pauli import not_self_orthogonal, pauli_format, pauli_from_vector
 
 PURE = "pure"
 IMPURE = "impure"
@@ -171,7 +170,7 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     """
     witness = C.self_orthogonality_witness()
     if witness is not None:
-        raise NotSelfOrthogonal(*witness)
+        raise not_self_orthogonal(C.field, C.gen.rows, *witness)
     n = C.half
     k = n - C.k_dim
     tag = f"certify_stabilizer(C:{code_digest(C)})"
@@ -312,20 +311,10 @@ def construction_x(C: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:
         stab = certify_additive(C, budget)
         return replace(stab.params, provenance=tag + "|e0-stabilizer")
     Dh = dual(C, "hermitian")
-    S = sum_code(C, Dh)
-    terms = []
-    visited = 0
-    statuses = []
-    if Dh.k_dim > 0:
-        dD = min_weight(Dh, budget=budget)
-        terms.append(dD.value)
-        visited += dD.visited
-        statuses.append(dD)
-    dS = min_weight(S, budget=budget)
-    terms.append(dS.value + 1)
-    visited += dS.visited
-    statuses.append(dS)
-    d = DistanceResult(min(terms), LOWER_BOUND, None, visited)
+    # a zero C^perp_H has no word, so only C + C^perp_H bounds d
+    dD = min_weight(Dh, budget=budget) if Dh.k_dim else DistanceResult(C.n + 1, EXACT)
+    dS = min_weight(sum_code(C, Dh), budget=budget)
+    d = DistanceResult(min(dD.value, dS.value + 1), LOWER_BOUND, None, dD.visited + dS.visited)
     sub_q = quad_ext(C.field).sub.q
     return CodeParams(
         q=sub_q,

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import fmatrix
 from .code import SymplecticCode, symplectic_pair
-from .errors import BadRange, NotSelfOrthogonal, ShapeMismatch, StabforgeError, TooLarge, UnsupportedField
+from .errors import BadRange, ShapeMismatch, StabforgeError, TooLarge, UnsupportedField
 from .gf import Field, field_make
-from .pauli import PauliOperator, hermitian_phases
+from .pauli import PauliOperator, hermitian_phases, not_self_orthogonal
 
 _F2 = field_make(2, 1)
 
@@ -52,12 +52,11 @@ class GeneratorSet:
             for j in range(i + 1, len(self.rows)):
                 v = symplectic_pair(_F2, self.rows[i], self.rows[j])
                 if v:
-                    raise NotSelfOrthogonal(i, j, v)
+                    raise not_self_orthogonal(_F2, self.rows, i, j, v)
         M = fmatrix.matrix(_F2, self.rows, 2 * self.n) if self.rows else None
         if M is not None and fmatrix.rank(M) != len(self.rows):
             raise StabforgeError("generator rows are linearly dependent")
-        for lam, r in zip(self.phases, self.rows):
-            ab = sum(r[i] & r[self.n + i] for i in range(self.n)) % 2
+        for lam, ab in zip(self.phases, hermitian_phases(_F2, self.rows)):
             if lam % 2 != ab:
                 raise StabforgeError("phase parity must match a.b (mod 2)")
 
@@ -84,11 +83,8 @@ def basis_state(n: int, bits) -> np.ndarray:
     bits = list(bits)
     if len(bits) != n:
         raise ShapeMismatch(f"expected {n} bits")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (b & 1)
     v = np.zeros(1 << n, dtype=complex)
-    v[idx] = 1.0
+    v[_vec_int(bits)] = 1.0
     return v
 
 

@@ -73,6 +73,16 @@ def test_certify_non_self_orthogonal_exits_1(files, capsys):
     assert "pairing" in capsys.readouterr().err
 
 
+def test_anticommuting_generators_are_named_as_operators(files, capsys):
+    # rows Z1, X2, Z2: the reduced basis lists X2 first, so basis indices
+    # would name rows the file does not pair; X2 and Z2 anticommute
+    bad = files["dir"] / "anti.sym"
+    bad.write_text("field GF(2)\nlength 3\nkind symplectic\nrows\n0 0 0 1 0 0\n0 1 0 0 0 0\n0 0 0 0 1 0\n")
+    for argv in (["certify", "--in", str(bad)], ["kl", "--in", str(bad), "--delta", "1"]):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"{argv[0]}: generators IXI and IZI have symplectic pairing 1 != 0\n"
+
+
 def test_dual_roundtrip_through_files(files, tmp_path, capsys):
     first = tmp_path / "dual1.sym"
     second = tmp_path / "dual2.sym"
@@ -247,6 +257,23 @@ def test_non_utf8_file_names_line(tmp_path, capsys):
     bad.write_bytes(b"field GF(2)\nlength 2\nkind linear\nrows\n1 \xff\n")
     assert run(["info", "--in", str(bad)]) == 2
     assert f"{bad}:5:" in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_read_as_the_file_without_it(tmp_path, capsys):
+    text = b"field GF(2)\nlength 2\nkind linear\nrows\n1 1\n"
+    plain, marked = tmp_path / "plain.code", tmp_path / "bom.code"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_code(marked) == load_code(plain)
+    assert run(["info", "--in", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert run(["info", "--in", str(marked)]) == 0
+    assert capsys.readouterr() == expected
+    # a bad byte after the mark is still named, with its own line
+    bad = tmp_path / "bombad.code"
+    bad.write_bytes(b"\xef\xbb\xbf" + text.replace(b"1 1", b"1 \xfe1"))
+    assert run(["info", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:5: byte 0xfe is not UTF-8\n"
 
 
 def _write_code(path, head, rows):

@@ -118,6 +118,22 @@ def test_rank_nullity_random():
             assert rank(M) + kernel(M).nrows == M.ncols
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 256])
+def test_kernel_is_canonical_on_rank_deficient_matrices(q):
+    """kernel reduces once, so its rows must come out as their own rref,
+    orthogonal to every row of M and ncols - rank(M) of them."""
+    field = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(25):
+        ncols = rng.randrange(2, 10)
+        r = rng.randrange(1, ncols)  # rank at most r < ncols
+        M = matmul(random_matrix(field, rng.randrange(r, r + 4), r, rng), random_matrix(field, r, ncols, rng))
+        K = kernel(M)
+        assert K == rref(K)[0]
+        assert K.nrows == ncols - rank(M) > 0
+        assert all(field.dot(row, v) == 0 for row in M.rows for v in K.rows)
+
+
 def test_intersect_with_self_and_zero():
     M = matrix(F2, HAMMING74_ROWS)
     R = rref(M)[0]
