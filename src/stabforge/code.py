@@ -16,9 +16,13 @@ and both trace pairings are one 2 x 2 matrix per qudit on (a|b)
 coordinates, so their duals are one kernel.
 
 Minimum weights come from one search over every field (`_search`).  It
-walks a code's span in numpy blocks of at most _BLOCK codewords, either
-whole or by layers t = 1, 2, ...: the rows are grouped by the qudit of
-their pivot, and layer t holds the messages nonzero on exactly t groups.
+walks a code's span in numpy blocks of at most _BLOCK codewords.  Over
+GF(2) a word is a column of 64-bit limbs, each half (a and b, for quantum
+weight) packed on its own from the top bit down, so words add by XOR,
+weigh by popcount and compare as their symbols do; over other fields it
+is one uint8 per symbol.  The span is walked either whole or by layers
+t = 1, 2, ...: the rows are grouped by the qudit of their pivot, and
+layer t holds the messages nonzero on exactly t groups.
 Such a word touches at least t qudits (t positions for Hamming weight;
 ceil(t/2) and up over fields above 64 elements, whose qudit pairs are not
 grouped), so once layers 1..t-1 are finished that is a proven floor, and a
@@ -62,9 +66,49 @@ _BLOCK = 4096
 # spans of at most this many words are walked exhaustively, without layers
 _SMALL_SPAN = 1 << 14
 # what a layered visit is taken to cost, in exhaustive visits: GF(2) layers
-# ran 14-22 M visits/s against 90-140 M exhaustive on a 2 vCPU Xeon, and
-# small layers cost more per word; weighs layers against a whole-span walk
+# of packed words ran 36-86 M visits/s against 110-255 M exhaustive on a
+# shared 2 vCPU Xeon, and small layers cost more per word; weighs layers
+# against a whole-span walk
 _LAYERED_COST = 16
+
+
+def _swar_popcount(x):
+    """The set bits of each uint64 of x, by SWAR.  Every shift and mask is a
+    uint64: numpy 1.x promotes uint64 mixed with signed integers to float64."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
+# numpy >= 2 counts bits natively; the SWAR fallback runs on numpy 1.x
+_popcount = getattr(np, "bitwise_count", _swar_popcount)
+# the characters "0" and "1" to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=64)
+def _limb_layout(widths: tuple[int, ...]):
+    """How `_search` packs GF(2) words of halves `widths` into uint64 limbs.
+
+    Each half starts a limb of its own, and column c of a half is bit
+    63 - c % 64 of its limb c // 64, so limbs compared in order compare
+    the symbols in order: the zero padding at the end of a half's last
+    limb is the same in every word.  Returns (Q, spell): `rows @ Q`,
+    reshaped to (rows, limbs, 2), holds 0 and each 0/1 row packed, and
+    format(limb >> shift, spec) spells a limb's columns for each
+    (shift, spec) in `spell`."""
+    limb, bit, spell = [], [], []
+    for w in widths:
+        c = np.arange(w)
+        limb.append(len(spell) + c // 64)
+        bit.append(63 - c % 64)
+        spell += [(64 - b, f"0{b}b") for b in (min(64, w - s) for s in range(0, w, 64))]
+    Q = np.zeros((sum(widths), len(spell), 2), dtype=np.uint64)
+    Q[np.arange(sum(widths)), np.concatenate(limb), 1] = np.uint64(1) << np.concatenate(bit).astype(np.uint64)
+    Q.flags.writeable = False  # shared by every caller through the cache
+    return Q.reshape(sum(widths), -1), tuple(spell)
+
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -460,9 +504,17 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     words walked: a layered attempt and then the exhaustive walk both
     count, and the witness is mapped back to a codeword of C.
 
-    Words are held as columns of uint8 blocks of at most _BLOCK words.  A
-    block is a run of prefix words, each added to every word of a table:
-    by XOR in characteristic 2, through the add table otherwise.  The
+    A word is a column of a block of at most _BLOCK words.  Over GF(2) the
+    column is uint64 limbs (`_limb_layout`): each half, a and b for
+    quantum weight or the whole word for Hamming weight, is packed on its
+    own with its column 0 as the top bit of its first limb.  Words add by
+    XOR, and a word's weight is the popcount of W[:split] | W[split:]
+    (of W, for Hamming weight) summed over its limbs.  A half's padding
+    bits are zero in every word, so the limbs, compared in order, compare
+    the symbols in order: a packed key sorts as the symbol tuple does.
+    Over any other field the column is one uint8 per symbol, added by XOR
+    in characteristic 2 and through the add table otherwise.  A block is
+    a run of prefix words, each added to every word of a table.  The
     exhaustive walk's table is the span of the last rows, and the prefixes
     stream over every message of the others.
 
@@ -501,13 +553,36 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     The witness is the lexicographically smallest minimum-weight word
     outside B, whatever order the words are visited in: each block's
     lightest words are lexsorted and tested for exclusion in that order.
+    A word is compared with the best so far by its key, its column of W;
+    a packed key is unpacked to symbols only when the word is tested for
+    exclusion or kept as the witness.
     """
     field, gen, quantum_half, to_public = _weight_domain(C, wfn)
     q = field.q
     add_t, mul_t = field.np_tables()
     rows = np.array(gen.rows, dtype=np.uint8)
     k, n = rows.shape
-    mults = mul_t[rows.T]  # mults[:, i, c] = c * row i
+    width, split = quantum_half or n, quantum_half  # a word's halves are W[:split], W[split:]
+    if q == 2:
+        # a limb's nonzero symbols are its set bits
+        Q, spell = _limb_layout((width, width) if quantum_half else (width,))
+        mults = (rows @ Q).reshape(k, -1, 2).transpose(1, 0, 2)
+        if quantum_half:
+            split = len(spell) // 2
+        ones = _popcount
+
+        def unpack(key):
+            """The symbols of a packed word."""
+            bits = "".join([format(x >> s, f) for x, (s, f) in zip(key, spell)])
+            return tuple(bits.encode().translate(_BIT_BYTES))
+
+    else:
+        mults = mul_t[rows.T]
+        # a uint8 symbol's sign is 1 when it is nonzero; a key is its symbols
+        ones, unpack = np.sign, tuple
+
+    # mults[:, i, c] = c * row i, one word per column of `height` rows
+    height = mults.shape[0]
     if field.p == 2:
         plus = np.bitwise_xor
     else:
@@ -517,23 +592,23 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
             return add_flat.take(a.astype(np.uint16) * q + b)
 
     count = np.uint8 if n < 255 else np.uint16
-    best_w, best_v = n + 1, None
+    best_w, best_v = n + 1, None  # best_v: the witness's key, its column of W as a tuple
 
     def consider(W):
         nonlocal best_w, best_v
-        X = W[:quantum_half] | W[quantum_half:] if quantum_half else W
-        wts = (X != 0).sum(axis=0, dtype=count)
+        X = W[:split] | W[split:] if split else W
+        wts = ones(X).sum(axis=0, dtype=count)
         live = np.nonzero((wts > 0) & (wts <= best_w))[0]
         while len(live):
             lw = wts[live]
             v = lw.min()
             level = W[:, live[lw == v]]
             for i in np.lexsort(level[::-1]):
-                vec = tuple(level[:, i].tolist())
-                if v == best_w and vec >= best_v:
+                key = tuple(level[:, i].tolist())
+                if v == best_w and key >= best_v:
                     break
-                if exclude is None or not fmatrix.in_span(exclude.basis, exclude.pivots, vec):
-                    best_w, best_v = int(v), vec
+                if exclude is None or not fmatrix.in_span(exclude.basis, exclude.pivots, unpack(key)):
+                    best_w, best_v = int(v), key
                     return
             live = live[lw > v]
 
@@ -542,21 +617,22 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
         per = max(1, _BLOCK // table.shape[1])
         for P in prefixes:
             for a in range(0, P.shape[1], per):
-                yield plus(P[:, a : a + per, None], table[:, None, :]).reshape(n, -1)
+                yield plus(P[:, a : a + per, None], table[:, None, :]).reshape(height, -1)
 
     low = 1  # the span of `low` rows fills at most a block
     while q ** (low + 1) <= _BLOCK:
         low += 1
+    zero = np.zeros((height, 1), dtype=mults.dtype)
 
     def span(idx):
         """Every word of the span of the rows idx, in blocks."""
-        table = np.zeros((n, 1), dtype=np.uint8)
+        table = zero
         for i in idx[-low:]:
-            table = plus(mults[:, i, :, None], table[:, None, :]).reshape(n, -1)
+            table = plus(mults[:, i, :, None], table[:, None, :]).reshape(height, -1)
         return blocks(span(idx[:-low]), table) if len(idx) > low else [table]
 
     def result(status, visited):
-        witness = None if best_v is None else to_public(best_v)
+        witness = None if best_v is None else to_public(unpack(best_v))
         return DistanceResult(best_w, status, witness, visited)
 
     total = q**k - 1
@@ -578,7 +654,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     for idx in by_group.values():
         W = mults[:, idx[0], :]
         for i in idx[1:]:
-            W = plus(W[:, :, None], mults[:, i, None, :]).reshape(n, -1)
+            W = plus(W[:, :, None], mults[:, i, None, :]).reshape(height, -1)
         sym.append(W[:, 1:])  # word 0 is the zero word
     g = len(sym)
     size = np.array([z.shape[1] for z in sym])
@@ -593,7 +669,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
 
     # tables[j]: the words on j groups ordered by last group, with their
     # first and last groups; the empty message starts after every group
-    tables = [(np.zeros((n, 1), dtype=np.uint8), np.array([g]), np.array([-1]))]
+    tables = [(zero, np.array([g]), np.array([-1]))]
     if layers[1] <= _BLOCK:
         group = np.repeat(np.arange(g), size)
         tables.append((np.concatenate(sym, axis=1), group, group))
@@ -604,7 +680,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
         T, first, last = tables[-1]
         m = np.searchsorted(last, np.arange(g))  # words of T before each group
         made = m * size  # new words ending in each group
-        parts = [plus(T[:, : m[c], None], sym[c][:, None, :]).reshape(n, -1) for c in range(g) if m[c]]
+        parts = [plus(T[:, : m[c], None], sym[c][:, None, :]).reshape(height, -1) for c in range(g) if m[c]]
         within = np.arange(made.sum()) - np.repeat(made.cumsum() - made, made)
         source = within // np.repeat(size, made)  # the word of T each new word extends
         tables.append((np.concatenate(parts, axis=1), first[source], np.repeat(np.arange(g), made)))

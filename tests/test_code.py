@@ -720,6 +720,48 @@ def test_search_matches_brute_force_on_deep_layers(monkeypatch):
             _check_against_brute_force(A, wfn, 2**12 - 2, target=target)
 
 
+@pytest.mark.parametrize("popcount", ["native", "swar"])
+@pytest.mark.parametrize("layers", [False, True])
+def test_search_matches_brute_force_at_limb_boundaries(monkeypatch, layers, popcount):
+    """GF(2) words are packed into 64-bit limbs, each half on its own.
+    Hamming lengths 63-129, quantum halves 31-65 and an additive GF(4)
+    code of length 65 end a half just before, at and after a limb
+    boundary; the rows' ones crowd the boundaries, so lightest words and
+    their lexicographic ties straddle limbs.  With `layers` every span
+    tries layers first; "swar" runs the popcount numpy 1.x falls back to."""
+    if layers:
+        monkeypatch.setattr(code, "_SMALL_SPAN", 0)
+        monkeypatch.setattr(code, "_LAYERED_COST", 2)
+    if popcount == "swar":
+        monkeypatch.setattr(code, "_popcount", code._swar_popcount)
+    rng = random.Random(64)
+    f2, f4 = field_of_order(2), field_of_order(4)
+
+    def sparse(width, q=2):
+        edges = {c for c in range(width) if c % 64 in (0, 63)} | {width - 2, width - 1}
+        return [rng.randrange(1, q) if rng.random() < (0.5 if c in edges else 0.04) else 0 for c in range(width)]
+
+    cases = [(linear_code(f2, [sparse(n) for _ in range(5)], n), "hamming") for n in (63, 64, 65, 129)]
+    for h in (31, 32, 33, 64, 65):
+        cases.append((symplectic_code(f2, [sparse(h) + sparse(h) for _ in range(5)], half=h), "quantum"))
+    cases.append((additive_code(f4, [sparse(65, 4) for _ in range(5)], n=65), "hamming"))
+    for A, wfn in cases:
+        span = 2 ** A.k_dim - 1
+        for B in (None, _subcode(A, rng)):
+            for budget in (span, span - 1, rng.randrange(1, span)):
+                _check_against_brute_force(A, wfn, budget, B)
+        for target in (2, 4):
+            _check_against_brute_force(A, wfn, span, target=target)
+
+
+def test_swar_popcount_counts_every_bit():
+    rng = random.Random(5)
+    words = [0, 2**64 - 1] + [1 << i for i in range(64)] + [rng.getrandbits(64) for _ in range(500)]
+    got = code._swar_popcount(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [bin(x).count("1") for x in words]
+
+
 def test_search_matches_brute_force_across_blocks():
     """Spans and layers larger than one block of _BLOCK words."""
     rng = random.Random(77)
