@@ -106,20 +106,20 @@ def _parse_int_list(text: str, count: int, what: str) -> list[int]:
 def _params_from_cli(args, asymmetric: bool = False) -> CodeParams:
     status = LOWER_BOUND if args.bound_only else EXACT
     pure = PURE if args.pure else UNKNOWN
+    if asymmetric:
+        n, k, dz, dx, q = _parse_int_list(args.params, 5, "n,k,dz,dx,q")
+        return CodeParams(
+            q=q, n=n, k=k,
+            dz=DistanceResult(dz, status), dx=DistanceResult(dx, status),
+            pure=pure, provenance="cli",
+        )
+    n, k, d, q = _parse_int_list(args.params, 4, "n,k,d,q")
     try:
-        if asymmetric:
-            n, k, dz, dx, q = _parse_int_list(args.params, 5, "n,k,dz,dx,q")
-            return CodeParams(
-                q=q, n=n, k=k,
-                dz=DistanceResult(dz, status), dx=DistanceResult(dx, status),
-                pure=pure, provenance="cli",
-            )
-        n, k, d, q = _parse_int_list(args.params, 4, "n,k,d,q")
         return CodeParams(q=q, n=n, k=k, d=DistanceResult(d, status), pure=pure, provenance="cli")
-    except RuntimeError as e:
+    except RuntimeError:
         # exact symmetric parameters violating the Singleton sanity check
         # cannot exist as certified values
-        raise CodeFileError(str(e))
+        raise CodeFileError(f"--params {args.params}: exact [[{n},{k},{d}]] violates the Singleton bound")
 
 
 def _cmd_certify(args) -> int:

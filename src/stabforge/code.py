@@ -238,22 +238,25 @@ class LinearCode:
     `basis` is the rref of the spanning rows over the linearity field:
     F_q^n rows for a linear code, Phi-preimage rows (a|b) in F_r^{2n} for
     an additive code over F_q, r = sqrt(q).  `pivots` are its pivot
-    columns and `k_dim` its rank, the dimension over that field.  `gen` is
-    the basis itself for a linear code and its Phi image in F_q^n for an
-    additive one; the constructor is the only place a code is reduced.
+    columns and `k_dim` its rank, the dimension over that field.  The
+    constructor is the only place a code is reduced, and `basis` is the
+    only matrix a code stores.
     """
 
     def __init__(self, field: Field, n: int, rows, linearity: str = LINEAR):
         self.field = field
         self.n = n
         self.linearity = linearity
-        if linearity == LINEAR:
-            self.basis, self.k_dim, self.pivots = fmatrix.rref(fmatrix.matrix(field, rows, n))
-            self.gen = self.basis
-        else:
-            ext = quad_ext(field)
-            self.basis, self.k_dim, self.pivots = fmatrix.rref(fmatrix.matrix(ext.sub, rows, 2 * n))
-            self.gen = FqMatrix(field, tuple(ext.phi(r) for r in self.basis.rows), n)
+        base, width = (field, n) if linearity == LINEAR else (quad_ext(field).sub, 2 * n)
+        self.basis, self.k_dim, self.pivots = fmatrix.rref(fmatrix.matrix(base, rows, width))
+
+    @property
+    def gen(self) -> FqMatrix:
+        """The basis, or for an additive code its Phi image in F_q^n."""
+        if not self.is_additive:
+            return self.basis
+        ext = quad_ext(self.field)
+        return FqMatrix(self.field, tuple(ext.phi(r) for r in self.basis.rows), self.n)
 
     @property
     def is_additive(self) -> bool:
@@ -272,11 +275,11 @@ class LinearCode:
             and self.field is other.field
             and self.n == other.n
             and self.linearity == other.linearity
-            and self.gen.rows == other.gen.rows
+            and self.basis.rows == other.basis.rows
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.n, self.linearity, self.gen.rows))
+        return hash((id(self.field), self.n, self.linearity, self.basis.rows))
 
     def __repr__(self) -> str:
         f = self.field.q
@@ -310,7 +313,7 @@ class SymplecticCode(LinearCode):
         pairings are antisymmetric, so the first nonzero one in row-major
         order lies above the diagonal."""
         f, h, p = self.field, self.half, self.field.p
-        G = np.array(self.gen.rows, dtype=np.int64).reshape(-1, self.n)
+        G = np.array(self.basis.rows, dtype=np.int64).reshape(-1, self.n)
         if f.m == 1:
             P = G[:, h:] @ G[:, :h].T
             pair = (P - P.T) % p
@@ -332,13 +335,19 @@ class SymplecticCode(LinearCode):
         return f"SymplecticCode(GF({self.field.q}), n={self.half}, dim={self.k_dim})"
 
 
-def linear_code(field: Field, rows, n: int | None = None) -> LinearCode:
-    """Linear code from spanning rows (need not be independent)."""
+def _rows_and_length(rows, n: int | None) -> tuple[list, int]:
+    """The rows as a list, and n, or the length of the first row if n is None."""
+    rows = list(rows)
     if n is None:
-        rows = list(rows)
         if not rows:
             raise DimensionMismatch("length required for a code with no generators")
         n = len(rows[0])
+    return rows, n
+
+
+def linear_code(field: Field, rows, n: int | None = None) -> LinearCode:
+    """Linear code from spanning rows (need not be independent)."""
+    rows, n = _rows_and_length(rows, n)
     return LinearCode(field, n, rows, LINEAR)
 
 
@@ -357,11 +366,7 @@ def symplectic_code(field: Field, rows, half: int | None = None) -> SymplecticCo
 def additive_code(field: Field, rows, n: int | None = None) -> LinearCode:
     """Additive code over a square-order field from subfield-spanning rows."""
     ext = quad_ext(field)
-    rows = list(rows)
-    if n is None:
-        if not rows:
-            raise DimensionMismatch("length required for a code with no generators")
-        n = len(rows[0])
+    rows, n = _rows_and_length(rows, n)
     M = fmatrix.matrix(field, rows, n)  # entries in range before they are split
     return LinearCode(field, n, [ext.phi_inv(r) for r in M.rows], ADDITIVE)
 
@@ -372,7 +377,7 @@ def as_additive(C: LinearCode) -> LinearCode:
         return C
     ext = quad_ext(C.field)
     rows = []
-    for r in C.gen.rows:
+    for r in C.basis.rows:
         rows.append(r)
         rows.append(tuple(C.field.mul(ext.gamma, x) for x in r))
     return additive_code(C.field, rows, C.n)
@@ -426,11 +431,11 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
     if ip in ("euclidean", "trace_euclidean", "hermitian"):
         if C.is_additive:
             raise StabforgeError(f"{ip} dual is defined here for linear codes only")
-        M = C.gen
+        M = C.basis
         if ip == "hermitian":
             if f.m % 2:
                 raise WrongFieldOrder(f"hermitian dual needs square order, got GF({f.q})")
-            M = fmatrix.entrywise_frob(C.gen, f.m // 2)
+            M = fmatrix.entrywise_frob(C.basis, f.m // 2)
         return LinearCode(f, C.n, fmatrix.kernel(M), LINEAR)
     units = ((1, 0), (0, 1))  # 1 and gamma at one qudit, as (a|b)
     if ip == "symplectic":
@@ -463,12 +468,9 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
 
 
 def hull(C: LinearCode, ip: str) -> LinearCode:
-    """C intersected with its dual under the named pairing."""
-    A, B = _same_kind(C, dual(C, ip))
-    inter = fmatrix.intersect(A.basis, B.basis)
-    if isinstance(A, SymplecticCode) and isinstance(B, SymplecticCode):
-        return SymplecticCode(A.field, A.n, inter)
-    return LinearCode(A.field, A.n, inter, A.linearity)
+    """C intersected with its dual under the named pairing: every pairing
+    here is nondegenerate and reflexive, so C cap C^perp = (C + C^perp)^perp."""
+    return dual(sum_code(C, dual(C, ip)), ip)
 
 
 def sum_code(A: LinearCode, B: LinearCode) -> LinearCode:

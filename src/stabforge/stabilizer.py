@@ -49,7 +49,6 @@ from .code import (
 )
 from .errors import (
     BadRule,
-    DimensionMismatch,
     EnlargementTooSmall,
     NotDualContaining,
     NotEnlargement,
@@ -201,8 +200,7 @@ def certify_additive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerC
 
 
 def _check_linear_pair(C1: LinearCode, C2: LinearCode):
-    if C1.field is not C2.field or C1.n != C2.n:
-        raise DimensionMismatch("ingredient codes live in different ambient spaces")
+    # a field or length mismatch fails in `is_subcode`, reached before any walk
     if C1.is_additive or C2.is_additive:
         raise StabforgeError("CSS-type constructions take linear ingredient codes")
 

@@ -116,14 +116,11 @@ def apply_pauli(E: PauliOperator, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != 1 << E.n:
         raise ShapeMismatch(f"state dimension {state.shape[0]} != 2^{E.n}")
-    a_int, b_int = _vec_int(E.a), _vec_int(E.b)
-    idx = np.arange(1 << E.n)
-    out = np.empty_like(state)
-    signs = _parity_signs(E.n, b_int)
-    if state.ndim == 2:
-        out[idx ^ a_int, :] = (1j ** E.phase) * signs[:, None] * state
-    else:
-        out[idx ^ a_int] = (1j ** E.phase) * signs * state
+    # row j of the result is row j ^ a of the input, times its phase and sign
+    perm = np.arange(1 << E.n) ^ _vec_int(E.a)
+    signs = (1j ** E.phase) * _parity_signs(E.n, _vec_int(E.b))[perm]
+    out = state[perm]
+    out *= signs[:, None] if state.ndim == 2 else signs
     return out
 
 
@@ -132,12 +129,7 @@ def pauli_matrix(E: PauliOperator) -> np.ndarray:
     _check_qubit(E)
     if E.n > MAX_DENSE_QUBITS:
         raise TooLarge(f"dense matrices capped at n = {MAX_DENSE_QUBITS}")
-    dim = 1 << E.n
-    a_int, b_int = _vec_int(E.a), _vec_int(E.b)
-    idx = np.arange(dim)
-    M = np.zeros((dim, dim), dtype=complex)
-    M[idx ^ a_int, idx] = (1j ** E.phase) * _parity_signs(E.n, b_int)
-    return M
+    return apply_pauli(E, np.eye(1 << E.n, dtype=complex))
 
 
 def projector_apply(G: GeneratorSet, syndrome, v: np.ndarray) -> np.ndarray:
@@ -192,11 +184,9 @@ def eigenspace_dims(G: GeneratorSet) -> list[int]:
 
 
 def seed_codeword(G: GeneratorSet, seed) -> np.ndarray:
-    """Sum of g|seed> over the whole lifted group, via prod_j (I + g_j)."""
-    v = basis_state(G.n, seed)
-    for j in range(G.size):
-        v = v + apply_pauli(G.operator(j), v)
-    return v
+    """Sum of g|seed> over the whole lifted group: 2^|G| times the
+    syndrome-zero projection, exact since the amplitudes are dyadic."""
+    return (1 << G.size) * projector_apply(G, (0,) * G.size, basis_state(G.n, seed))
 
 
 def code_basis(G: GeneratorSet) -> np.ndarray:
@@ -249,6 +239,8 @@ class KLResult:
 
 # complex entries per matmul operand or result; bounds the memory of a step
 _KL_CHUNK = 1 << 18
+# how far a Knill-Laflamme entry may stray from alpha_E * delta_ij
+_KL_TOL = 1e-9
 
 
 def _kl_entries(S: np.ndarray, C: np.ndarray, Ca: np.ndarray, rows: int) -> np.ndarray:
@@ -267,7 +259,7 @@ def _kl_entries(S: np.ndarray, C: np.ndarray, Ca: np.ndarray, rows: int) -> np.n
     return np.concatenate(parts, axis=1).reshape(len(S), K, K)
 
 
-def kl_verify(G: GeneratorSet, delta: int, tol: float = 1e-9) -> KLResult:
+def kl_verify(G: GeneratorSet, delta: int) -> KLResult:
     """Check <c_i| E |c_j> = alpha_E * delta_ij for every error operator of
     quantum weight at most delta, over an orthonormal basis {c_i} of the
     syndrome-zero space.
@@ -302,7 +294,7 @@ def kl_verify(G: GeneratorSet, delta: int, tol: float = 1e-9) -> KLResult:
         for b0 in range(0, bs.size, step):
             S = parity[(idx ^ a_int) & bs[b0 : b0 + step, None]]
             M = _kl_entries(S, C, Ca, rows)
-            bad = (np.abs(M - M[:, :1, :1] * eye) > tol).reshape(len(S), -1)
+            bad = (np.abs(M - M[:, :1, :1] * eye) > _KL_TOL).reshape(len(S), -1)
             hit = bad.any(axis=1)
             if not hit.any():
                 checked += len(S)

@@ -172,6 +172,12 @@ def test_bounds_singleton_exit_codes(capsys):
     # exact symmetric parameters violating the bound cannot be constructed
     assert run(["bounds", "--singleton", "--params", "5,3,3,2"]) == 2
     assert "Singleton" in capsys.readouterr().err
+    # the violation is the user's --params, whichever command reads them
+    for argv in (["bounds", "--singleton"], ["bounds", "--hamming", "--pure"], ["propagate", "--rule", "subcode"]):
+        assert run(argv + ["--params", "5,1,4,2"]) == 2
+        err = capsys.readouterr().err
+        assert "--params 5,1,4,2" in err and "[[5,1,4]] violates the Singleton bound" in err, argv
+        assert "internal error" not in err, argv
     # the asymmetric variant is checkable and reports the violation
     assert run(["bounds", "--aqc-singleton", "--params", "5,3,3,3,2"]) == 1
 

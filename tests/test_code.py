@@ -16,10 +16,12 @@ from stabforge.code import (
     _weight_domain,
     DEFAULT_BUDGET,
     EXACT,
+    INNER_PRODUCTS,
     LOWER_BOUND,
     LinearCode,
     additive_code,
     as_additive,
+    code_digest,
     dual,
     dump_code,
     hamming_weight,
@@ -47,6 +49,7 @@ from stabforge.errors import (
     EmptyDifference,
     NotNested,
     OddLength,
+    StabforgeError,
     WrongFieldOrder,
     ZeroCode,
 )
@@ -340,6 +343,89 @@ def test_hull_feeds_construction_x_exponent(f4):
         C = random_linear(f4, 2, 5, rng)
         e = C.k_dim - hull(C, "hermitian").k_dim
         assert 0 <= e <= C.k_dim
+
+
+# the scalar pairings, written out: trace-Euclidean traces the dot product
+# down to the prime field
+_PAIRINGS = {
+    "euclidean": lambda f, u, v: f.dot(u, v),
+    "trace_euclidean": lambda f, u, v: f.trace_to(f.dot(u, v), field_make(f.p, 1)),
+    "hermitian": hermitian_pair,
+    "trace_hermitian": trace_hermitian_pair,
+    "trace_alternating": trace_alternating_pair,
+    "symplectic": symplectic_pair,
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_hull_matches_brute_force_intersection(q):
+    """hull(C, ip) holds exactly the words of C that pair to zero with every
+    word of C, for every pairing and each kind of code (at most 32 words);
+    a symplectic hull is a SymplecticCode and a trace hull is additive.
+    Where the dual is undefined, the hull raises the dual's error."""
+    f = field_of_order(q)
+    rng = random.Random(31 * q)
+    most = max(k for k in range(1, 6) if q**k <= 32)  # rows, so that |C| <= 32
+    for _ in range(5):
+        n = rng.randrange(1, 4)
+
+        def rows(length):
+            return [[rng.randrange(q) for _ in range(length)] for _ in range(rng.randrange(most + 1))]
+
+        codes = [linear_code(f, rows(n), n), symplectic_code(f, rows(2 * n), half=n)]
+        if f.m % 2 == 0:
+            codes.append(additive_code(f, rows(n), n))
+        for C in codes:
+            words = all_codewords(C)
+            for ip in INNER_PRODUCTS:
+                try:
+                    dual(C, ip)
+                except StabforgeError as e:
+                    with pytest.raises(type(e)):
+                        hull(C, ip)
+                    continue
+                H = hull(C, ip)
+                assert type(H) is (SymplecticCode if ip == "symplectic" else LinearCode), (q, ip, C)
+                assert H.is_additive == (ip in ("trace_hermitian", "trace_alternating")), (q, ip, C)
+                pair = _PAIRINGS[ip]
+                want = {w for w in words if all(pair(f, w, c) == 0 for c in words)}
+                assert all_codewords(H) == want, (q, ip, C)
+
+
+# -- additive codes -------------------------------------------------------------
+
+# (code_digest, k_dim) of additive codes of lengths 3, 5 and 7 from the rows of
+# random.Random(q); pinned when the Phi image was stored with the code
+_ADDITIVE_DIGESTS = {
+    4: [("0ecd8534", 2), ("b04a2f02", 1), ("daaa2002", 6)],
+    9: [("2deca541", 4), ("f4d5410d", 6), ("2ae6011f", 8)],
+    16: [("795ad049", 3), ("7cf9a3b5", 2), ("68ae0591", 1)],
+    25: [("4c12f391", 4), ("0640c42b", 4), ("9959102d", 6)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_ADDITIVE_DIGESTS))
+def test_additive_code_digest_and_identity(q):
+    """Additive codes dump, compare and hash by their one stored basis: the
+    same span from other spanning rows is equal with an equal hash, and the
+    zero code is not."""
+    f = field_of_order(q)
+    rng = random.Random(q)
+    gamma = quad_ext(f).gamma
+    for n, (digest, k_dim) in zip((3, 5, 7), _ADDITIVE_DIGESTS[q]):
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(1, n + 2))]
+        C = additive_code(f, rows, n)
+        assert (code_digest(C), C.k_dim) == (digest, k_dim)
+        sums = [[f.add(x, y) for x, y in zip(r, rows[0])] for r in rows]
+        D = additive_code(f, rows[::-1] + sums, n)
+        assert C == D and hash(C) == hash(D) and code_digest(D) == digest
+        assert C != additive_code(f, [], n)
+        # the additive view of a linear code is the additive code of its rows
+        # and their gamma multiples
+        L = linear_code(f, rows, n)
+        A = additive_code(f, rows + [[f.mul(gamma, x) for x in r] for r in rows], n)
+        assert as_additive(L) == A and hash(as_additive(L)) == hash(A)
+        assert L != A
 
 
 # -- minimum weights -----------------------------------------------------------

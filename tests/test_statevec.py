@@ -122,6 +122,24 @@ def test_projector_against_group_sum_oracle(ex512):
     np.testing.assert_allclose(seed_codeword(G, "00000"), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,g", [(1, 0), (1, 1), (3, 2), (4, 3), (5, 4), (6, 3)])
+def test_seed_codeword_is_the_group_sum(n, g):
+    """seed_codeword equals the explicit sum of every one of the 2^|G|
+    generator products applied to |seed>, exactly: amplitudes are dyadic."""
+    rng = random.Random(97 * n + g)
+    G = random_generator_set(n, g, rng)
+    for _ in range(3):
+        seed = [rng.randrange(2) for _ in range(n)]
+        expected = np.zeros(1 << n, dtype=complex)
+        for subset in itertools.product((0, 1), repeat=g):
+            w = basis_state(n, seed)
+            for j, take in enumerate(subset):
+                if take:
+                    w = apply_pauli(G.operator(j), w)
+            expected = expected + w
+        np.testing.assert_array_equal(seed_codeword(G, seed), expected)
+
+
 def test_projectors_of_different_syndromes_annihilate(ex512):
     G = generator_set(ex512)
     rng = np.random.default_rng(11)
