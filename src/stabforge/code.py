@@ -353,14 +353,8 @@ def linear_code(field: Field, rows, n: int | None = None) -> LinearCode:
 
 def symplectic_code(field: Field, rows, half: int | None = None) -> SymplecticCode:
     """Symplectic code from rows of length 2n over F_q."""
-    rows = list(rows)
-    if half is None:
-        if not rows:
-            raise DimensionMismatch("qudit count required for an empty symplectic code")
-        if len(rows[0]) % 2:
-            raise OddLength("symplectic rows must have even length")
-        half = len(rows[0]) // 2
-    return SymplecticCode(field, 2 * half, rows)
+    rows, n = _rows_and_length(rows, None if half is None else 2 * half)
+    return SymplecticCode(field, n, rows)
 
 
 def additive_code(field: Field, rows, n: int | None = None) -> LinearCode:

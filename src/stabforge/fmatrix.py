@@ -1,4 +1,4 @@
-"""Row-reduction, kernels and span intersection over GF(q).
+"""Row-reduction, kernels, span membership and products over GF(q).
 
 Matrices are immutable row tuples of integer residues.  GF(2) elimination
 runs on machine-word bitsets (one int per row, bit j = column j); other
@@ -181,32 +181,3 @@ def entrywise_frob(M: FqMatrix, k: int = 1) -> FqMatrix:
     f = M.field
     image = [f.frob(x, k) for x in f.elements()]
     return FqMatrix(f, tuple(tuple(image[x] for x in r) for r in M.rows), M.ncols)
-
-
-def stack(A: FqMatrix, B: FqMatrix) -> FqMatrix:
-    if A.field is not B.field or A.ncols != B.ncols:
-        raise DimensionMismatch("stack shape/field mismatch")
-    return FqMatrix(A.field, A.rows + B.rows, A.ncols)
-
-
-def intersect(A: FqMatrix, B: FqMatrix) -> FqMatrix:
-    """Basis of the intersection of two row spans."""
-    if A.field is not B.field:
-        raise DimensionMismatch("spans over different fields")
-    if A.ncols != B.ncols:
-        raise DimensionMismatch(f"ambient dimensions differ: {A.ncols} vs {B.ncols}")
-    f = A.field
-    C = stack(A, B)
-    # left null space of C: coefficient rows (x | y) with x.A + y.B = 0,
-    # so each x.A lies in both spans
-    coeffs = kernel(transpose(C))
-    ka = A.nrows
-    vecs = []
-    for cr in coeffs.rows:
-        x = cr[:ka]
-        vec = tuple(f.dot(x, col) for col in zip(*A.rows)) if A.rows else (0,) * A.ncols
-        if any(vec):
-            vecs.append(vec)
-    if not vecs:
-        return zeros(f, 0, A.ncols)
-    return rref(FqMatrix(f, tuple(vecs), A.ncols))[0]

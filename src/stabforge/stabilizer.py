@@ -9,11 +9,16 @@ entanglement-assisted ebit count rank(H H^dagger).
 Every distance that reaches a CodeParams carries its enumeration status;
 bound-only values are never silently upgraded.
 
-Purity is decided on the stabilizer side: a code is pure when no nonzero
-stabilizer word is lighter than d.  A stabilizer C lies in its dual D, so
-d(D) = min(d(C), d(D minus C)) and the code is pure iff d(C) >= d; for CSS,
-min(d(C1), d(C2)) = min(d(C1^perp), d(C2^perp), d).  Under a partial
-budget an exact stabilizer-side value below d is impure, an exact d with
+Purity is decided on the stabilizer side, by `_purity` alone: a code is
+pure when no nonzero stabilizer word is lighter than d.  A stabilizer C
+lies in its dual D, so d(D) = min(d(C), d(D minus C)) and the code is pure
+iff d(C) >= d; for CSS, min(d(C1), d(C2)) = min(d(C1^perp), d(C2^perp), d).
+An asymmetric code is pure when {d_z, d_x} = {d(C1), d(C2)}; as
+C1^perp < C2 and C2^perp < C1, that holds iff
+d(C1^perp) >= wt(C2 minus C1^perp) and d(C2^perp) >= wt(C1 minus C2^perp).
+Each construction passes (distance, stabilizer-side code) pairs, and a
+zero code sets no condition.  Under a partial budget an exact
+stabilizer-side value below d is impure, an exact d with
 no stabilizer-side value (exact or floor) below it is pure, and anything
 else is unknown.  A stabilizer-side walk only has to tell whether a word
 lighter than d exists, so it stops as soon as its floor reaches d (the
@@ -134,26 +139,25 @@ class StabilizerCode:
         return iter((self, self.params))
 
 
-def _stabilizer_min(S: LinearCode, wfn: str, budget: int, d: int) -> DistanceResult | None:
-    """Minimum weight of the stabilizer-side code S, None if S is zero.
+def _purity(wfn: str, budget: int, *pairs: tuple[DistanceResult, LinearCode]) -> str:
+    """Purity verdict from (distance d, stabilizer-side code S) pairs: pure
+    iff no S has a nonzero word lighter than its d.
 
-    Purity only asks whether S has a word lighter than the distance d, so
-    the walk stops once its floor reaches d and returns that floor as a
-    lower bound: it exceeds no word of S, and it settles the question."""
-    return min_weight(S, wfn, budget, target=d) if S.k_dim else None
-
-
-def _purity(*pairs: tuple[DistanceResult, DistanceResult | None]) -> str:
-    """Verdict from (distance, stabilizer-side minimum) pairs, the minimum
-    None for a zero code: pure iff no minimum is below its distance.  Sound
-    under any budget, since neither value exceeds the true one.  A
-    stabilizer-side floor at or above the distance, where a walk given that
-    distance stops, rules out every lighter word as the exact minimum
-    would, so the verdict is the one the full walk gives."""
-    pairs = [(d, s) for d, s in pairs if s is not None]
-    if any(s.is_exact and s.value < d.value for d, s in pairs):
+    Each distinct nonzero (S, d) is walked once, in argument order, by
+    `min_weight` with target d, so the walk stops once its floor reaches d;
+    a zero S sets no condition.  The verdict is sound under any budget,
+    since neither value exceeds the true one, and a floor at or above d
+    rules out every lighter word as the exact minimum would, so it is the
+    verdict the full walk gives."""
+    walks, mins = {}, []
+    for d, S in pairs:
+        if S.k_dim:
+            if (S, d.value) not in walks:
+                walks[S, d.value] = min_weight(S, wfn, budget, target=d.value)
+            mins.append((d, walks[S, d.value]))
+    if any(s.is_exact and s.value < d.value for d, s in mins):
         return IMPURE
-    if all(d.is_exact and s.value >= d.value for d, s in pairs):
+    if all(d.is_exact and s.value >= d.value for d, s in mins):
         return PURE
     return UNKNOWN
 
@@ -162,10 +166,8 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     """Certify a symplectic self-orthogonal code as an [[n, k, d]]_q code.
 
     k = n - dim C and d is the minimum quantum weight of the symplectic
-    dual D minus the code itself (of the dual alone when k = 0).  Since
-    d(D) = min(d(C), d), the code is pure iff d(C) >= d: purity walks C,
-    of dimension n - k, and not D, of dimension n + k, and stops once its
-    floor reaches d.
+    dual D minus the code itself (of the dual alone when k = 0).  Purity
+    pairs d with C, of dimension n - k, and not with D, of dimension n + k.
     """
     witness = C.self_orthogonality_witness()
     if witness is not None:
@@ -175,7 +177,7 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     tag = f"certify_stabilizer(C:{code_digest(C)})"
     if k > 0:
         d = min_weight_diff(dual(C, "symplectic"), C, "quantum", budget)
-        pure = _purity((d, _stabilizer_min(C, "quantum", budget, d.value)))
+        pure = _purity("quantum", budget, (d, C))
     else:
         d = min_weight(C, "quantum", budget)
         pure = PURE
@@ -217,14 +219,6 @@ def _css_walks(C1, C2, D1, D2, budget: int):
     return w21, w12
 
 
-def _dual_mins(D1, D2, budget: int, d1: int, d2: int):
-    """(d(D1), d(D2)) for purity, each walked until its floor reaches its
-    distance d_i (see _stabilizer_min); the same walk is made once."""
-    m1 = _stabilizer_min(D1, "hamming", budget, d1)
-    m2 = m1 if (D2, d2) == (D1, d1) else _stabilizer_min(D2, "hamming", budget, d2)
-    return m1, m2
-
-
 def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
     """CSS construction from C1^perp_E contained in C2.
 
@@ -232,9 +226,7 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     nesting makes symplectic self-orthogonal.  For k > 0 its parameters
     [[n, k1 + k2 - n, min(wt(C2 minus C1^perp), wt(C1 minus C2^perp))]]
     come from the two classical coset distances, walked once when C1 == C2.
-    Since min(d(C1), d(C2)) = min(d(C1^perp), d(C2^perp), d), the code is
-    pure iff d(C1^perp) >= d and d(C2^perp) >= d; each nonzero dual is
-    walked once, until its floor reaches d.  For k = 0 the block is
+    Purity pairs d with C1^perp and with C2^perp.  For k = 0 the block is
     certified directly.
     """
     _check_linear_pair(C1, C2)
@@ -259,8 +251,7 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
         sym_wit = (0,) * n + tuple(w12.witness) if w12.witness else None
     visited = w21.visited if w12 is w21 else w21.visited + w12.visited
     d = DistanceResult(min(w21.value, w12.value), _merge_status(w21, w12), sym_wit, visited)
-    m1, m2 = _dual_mins(D1, D2, budget, d.value, d.value)
-    pure = _purity((d, m1), (d, m2))
+    pure = _purity("hamming", budget, (d, D1), (d, D2))
     params = CodeParams(q=f.q, n=n, k=k, d=d, pure=pure, provenance=tag)
     return StabilizerCode(code=block, params=params)
 
@@ -358,13 +349,9 @@ def css_aqc(
 ) -> CodeParams:
     """Asymmetric CSS-like construction under a chosen inner product.
 
-    d_z is the larger of the two coset distances, d_x the smaller; the
-    result is pure exactly when {d_z, d_x} = {d(C1), d(C2)}.  As
-    C1^perp < C2 and C2^perp < C1, that holds iff
-    d(C1^perp) >= wt(C2 minus C1^perp) and d(C2^perp) >= wt(C1 minus C2^perp),
-    so purity walks the duals, each nonzero one once, until its floor
-    reaches the coset distance it is compared with.  When C1 == C2 the
-    single coset distance is walked once.
+    d_z is the larger of the two coset distances, d_x the smaller; when
+    C1 == C2 the single coset distance is walked once.  Purity pairs
+    wt(C2 minus C1^perp) with C1^perp and wt(C1 minus C2^perp) with C2^perp.
     """
     if ip not in AQC_INNER_PRODUCTS:
         raise StabforgeError(f"inner product must be one of {AQC_INNER_PRODUCTS}")
@@ -374,9 +361,8 @@ def css_aqc(
         raise NotNested(f"C1^perp ({ip}) is not contained in C2")
     D2 = dual(C2, ip)
     w21, w12 = _css_walks(C1, C2, D1, D2, budget)
-    m1, m2 = _dual_mins(D1, D2, budget, w21.value, w12.value)
     dz, dx = (w21, w12) if w21.value >= w12.value else (w12, w21)
-    pure = _purity((w21, m1), (w12, m2))
+    pure = _purity("hamming", budget, (w21, D1), (w12, D2))
     return CodeParams(
         q=C1.field.q,
         n=C1.n,

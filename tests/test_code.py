@@ -263,6 +263,11 @@ def test_symplectic_dual_requires_even_length(f2):
         dual(C, "symplectic")
 
 
+def test_symplectic_code_rejects_odd_length(f2):
+    with pytest.raises(OddLength):
+        symplectic_code(f2, [(1, 0, 1)])
+
+
 def _reference_dual(C, ip):
     """Reference model of `dual`: one constraint per generator, the scalar
     pairing of each unit vector of the unknowns with that generator (the

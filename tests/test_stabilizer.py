@@ -293,10 +293,11 @@ def test_purity_walks_each_domain_once(monkeypatch, f2, hamming74):
     # every enumeration, as (function, dimension of the code it walks)
     import stabforge.stabilizer as stabilizer
 
-    calls = []
+    calls, targets = [], []
     for name in ("min_weight", "min_weight_diff"):
         def record(C, *args, _name=name, _fn=getattr(stabilizer, name), **kw):
             calls.append((_name, C.k_dim))
+            targets.append(kw.get("target"))
             return _fn(C, *args, **kw)
 
         monkeypatch.setattr(stabilizer, name, record)
@@ -327,6 +328,24 @@ def test_purity_walks_each_domain_once(monkeypatch, f2, hamming74):
         calls.clear()
         construct(full, hamming74)
         assert calls == [("min_weight_diff", 4), ("min_weight_diff", 7), ("min_weight", 3)]
+
+    # C1 != C2 with both duals nonzero: the even-weight code C1 = [7,6,2]
+    # beside the Hamming code C2, so C1^perp is the repetition code
+    # (dimension 1) and C2^perp the simplex code (dimension 3).  The cosets
+    # have wt(C2 minus C1^perp) = 3 and wt(C1 minus C2^perp) = 2; css pairs
+    # both duals with d = 2, css_aqc each with its own coset distance
+    even = linear_code(f2, [tuple(int(j in (i, 6)) for j in range(7)) for i in range(6)])
+    walks = [("min_weight_diff", 4), ("min_weight_diff", 6), ("min_weight", 1), ("min_weight", 3)]
+    calls.clear()
+    targets.clear()
+    stab = css(even, hamming74)
+    assert format_params(stab.params) == "[[7,3,2]]_2" and stab.params.pure == PURE
+    assert calls == walks and targets == [None, None, 2, 2]
+    calls.clear()
+    targets.clear()
+    aqc = css_aqc(even, hamming74)
+    assert (aqc.dz.value, aqc.dx.value, aqc.pure) == (3, 2, PURE)
+    assert calls == walks and targets == [None, None, 3, 2]
 
 
 def test_certify_walks_stop_once_the_distance_is_proven():
