@@ -83,19 +83,18 @@ def _swar_popcount(x):
 
 # numpy >= 2 counts bits natively; the SWAR fallback runs on numpy 1.x
 _popcount = getattr(np, "bitwise_count", _swar_popcount)
-# the characters "0" and "1" to the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=64)
 def _limb_layout(widths: tuple[int, ...]):
     """How `_search` packs GF(2) words of halves `widths` into uint64 limbs.
 
-    Each half starts a limb of its own, and column c of a half is bit
-    63 - c % 64 of its limb c // 64, so limbs compared in order compare
-    the symbols in order: the zero padding at the end of a half's last
-    limb is the same in every word.  Returns (Q, spell): `rows @ Q`,
-    reshaped to (rows, limbs, 2), holds 0 and each 0/1 row packed, and
+    Each half starts a limb of its own, and its columns fill limbs in
+    `fmatrix`'s bit order, column 0 the top bit: column c is bit
+    63 - c % 64 of limb c // 64.  So limbs compared in order compare the
+    symbols in order: the zero padding at the end of a half's last limb is
+    the same in every word.  Returns (Q, spell): `rows @ Q`, reshaped to
+    (rows, limbs, 2), holds 0 and each 0/1 row packed, and
     format(limb >> shift, spec) spells a limb's columns for each
     (shift, spec) in `spell`."""
     limb, bit, spell = [], [], []
@@ -503,11 +502,12 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     A word is a column of a block of at most _BLOCK words.  Over GF(2) the
     column is uint64 limbs (`_limb_layout`): each half, a and b for
     quantum weight or the whole word for Hamming weight, is packed on its
-    own with its column 0 as the top bit of its first limb.  Words add by
-    XOR, and a word's weight is the popcount of W[:split] | W[split:]
-    (of W, for Hamming weight) summed over its limbs.  A half's padding
-    bits are zero in every word, so the limbs, compared in order, compare
-    the symbols in order: a packed key sorts as the symbol tuple does.
+    own in `fmatrix`'s bit order, its column 0 the top bit of its first
+    limb.  Words add by XOR, and a word's weight is the popcount of
+    W[:split] | W[split:] (of W, for Hamming weight) summed over its limbs.
+    A half's padding bits are zero in every word, so the limbs, compared
+    in order, compare the symbols in order: a packed key sorts as the
+    symbol tuple does.
     Over any other field the column is one uint8 per symbol, added by XOR
     in characteristic 2 and through the add table otherwise.  A block is
     a run of prefix words, each added to every word of a table.  The
@@ -570,7 +570,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
         def unpack(key):
             """The symbols of a packed word."""
             bits = "".join([format(x >> s, f) for x, (s, f) in zip(key, spell)])
-            return tuple(bits.encode().translate(_BIT_BYTES))
+            return tuple(bits.encode().translate(fmatrix._BIT_BYTES))
 
     else:
         mults = mul_t[rows.T]
@@ -806,7 +806,7 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
             continue
         if in_rows:
             try:
-                numbered_rows.append((lineno, tuple(int(tok) for tok in line.split())))
+                numbered_rows.append((lineno, tuple(map(int, line.split()))))
             except ValueError:
                 raise CodeFileError(f"{name}:{lineno}: row entries must be integers")
             continue
@@ -845,7 +845,7 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
     for i, (lineno, r) in enumerate(numbered_rows, start=1):
         if len(r) != expected:
             raise CodeFileError(f"{name}:{lineno}: row {i} has {len(r)} entries, expected {expected}")
-        if any(x < 0 or x >= field.q for x in r):
+        if min(r) < 0 or max(r) >= field.q:
             raise CodeFileError(f"{name}:{lineno}: row {i} has entries outside [0, {field.q})")
     rows = [r for _, r in numbered_rows]
     if kind == SYMPLECTIC:

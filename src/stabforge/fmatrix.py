@@ -1,10 +1,13 @@
 """Row-reduction, kernels, span membership and products over GF(q).
 
 Matrices are immutable row tuples of integer residues.  GF(2) elimination
-runs on machine-word bitsets (one int per row, bit j = column j); other
-fields read rows of the field's add and mul tables, so scaling a row or
-subtracting a multiple of one is one list comprehension of lookups.  Sizes
-here are small; the heavy enumeration loops live in `code`.
+runs on machine-word bitsets, one int per row.  This module owns the one
+bit order of a packed GF(2) row: column 0 is the top bit, so ints compare
+as their rows do.  `_pack` and `_unpack` convert, and the minimum-weight
+walk in `code` and the dense oracle in `statevec` read the same order.
+Other fields read rows of the field's add and mul tables, so scaling a row
+or subtracting a multiple of one is one list comprehension of lookups.
+Sizes here are small; the heavy enumeration loops live in `code`.
 """
 
 from __future__ import annotations
@@ -54,16 +57,19 @@ def zeros(field: Field, r: int, c: int) -> FqMatrix:
     return FqMatrix(field, tuple((0,) * c for _ in range(r)), c)
 
 
-def _pack(row: tuple[int, ...]) -> int:
-    v = 0
-    for j, x in enumerate(row):
-        if x:
-            v |= 1 << j
-    return v
+# the bytes 0 and 1 to the characters "0" and "1", and back
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(row) -> int:
+    """The int of a 0/1 row, column 0 as its top bit."""
+    return int(bytes(row).translate(_BIT_CHARS) or b"0", 2)
 
 
 def _unpack(v: int, ncols: int) -> tuple[int, ...]:
-    return tuple((v >> j) & 1 for j in range(ncols))
+    """The `ncols` bits of v as a 0/1 row, its top bit first."""
+    return tuple(format(v, f"0{ncols}b").encode().translate(_BIT_BYTES)) if ncols else ()
 
 
 def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -73,7 +79,7 @@ def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     for c in range(ncols):
         if r >= len(mat):
             break
-        bit = 1 << c
+        bit = 1 << (ncols - 1 - c)
         pivot = next((i for i in range(r, len(mat)) if mat[i] & bit), None)
         if pivot is None:
             continue

@@ -1,11 +1,13 @@
 """Dense qubit Hilbert-space oracle.
 
 States are numpy complex vectors of length 2^n indexed by basis strings
-with the first qubit as the most significant bit.  X(a) permutes basis
-indices by XOR, Z(b) applies the parity sign (-1)^(b.v), and the
-idempotent projectors (I + (-1)^s_j g_j)/2 carve out the syndrome
-eigenspaces.  Everything here is independent of the enumeration-based
-certification path; it exists to cross-check it at desk scale.
+packed by `fmatrix._pack`, the first qubit as the most significant bit;
+`fmatrix._unpack` spells syndromes and witnesses back.  X(a) permutes
+basis indices by XOR, Z(b) applies the parity sign (-1)^(b.v) counted by
+`code._popcount`, and the idempotent projectors (I + (-1)^s_j g_j)/2
+carve out the syndrome eigenspaces.  Everything here is independent of
+the enumeration-based certification path; it exists to cross-check it at
+desk scale.
 
 The Knill-Laflamme check costs what it checks: the code basis stops at its
 2^(n-|G|) vectors, and only the errors of weight at most delta are walked,
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fmatrix
-from .code import SymplecticCode, symplectic_pair
+from .code import SymplecticCode, _popcount, symplectic_pair
 from .errors import BadRange, ShapeMismatch, StabforgeError, TooLarge, UnsupportedField
 from .gf import Field, field_make
 from .pauli import PauliOperator, hermitian_phases, not_self_orthogonal
@@ -48,13 +50,13 @@ class GeneratorSet:
                 raise ShapeMismatch("generator rows must have length 2n")
         if len(self.phases) != len(self.rows):
             raise StabforgeError("one phase per generator required")
-        for i in range(len(self.rows)):
-            for j in range(i + 1, len(self.rows)):
-                v = symplectic_pair(_F2, self.rows[i], self.rows[j])
+        M = fmatrix.matrix(_F2, self.rows, 2 * self.n)  # BadRange unless every entry is 0 or 1
+        for i in range(M.nrows):
+            for j in range(i + 1, M.nrows):
+                v = symplectic_pair(_F2, M.rows[i], M.rows[j])
                 if v:
-                    raise not_self_orthogonal(_F2, self.rows, i, j, v)
-        M = fmatrix.matrix(_F2, self.rows, 2 * self.n) if self.rows else None
-        if M is not None and fmatrix.rank(M) != len(self.rows):
+                    raise not_self_orthogonal(_F2, M.rows, i, j, v)
+        if fmatrix.rank(M) != M.nrows:
             raise StabforgeError("generator rows are linearly dependent")
         for lam, ab in zip(self.phases, hermitian_phases(_F2, self.rows)):
             if lam % 2 != ab:
@@ -78,31 +80,21 @@ def generator_set(C: SymplecticCode) -> GeneratorSet:
 
 def basis_state(n: int, bits) -> np.ndarray:
     """|b_1 ... b_n> as a dense vector; bits may be a string or sequence."""
-    if isinstance(bits, str):
-        bits = [int(c) for c in bits]
-    bits = list(bits)
-    if len(bits) != n:
+    row = ["01".find(c) for c in bits] if isinstance(bits, str) else list(bits)
+    if len(row) != n:
         raise ShapeMismatch(f"expected {n} bits")
+    if any(b not in (0, 1) for b in row):
+        raise BadRange(f"basis state {bits!r} has an entry other than 0 or 1")
     v = np.zeros(1 << n, dtype=complex)
-    v[_vec_int(bits)] = 1.0
+    v[fmatrix._pack(row)] = 1.0
     return v
 
 
-def _vec_int(vec) -> int:
-    out = 0
-    for b in vec:
-        out = (out << 1) | (int(b) & 1)
-    return out
-
-
-def _parity_signs(n: int, b_int: int) -> np.ndarray:
-    x = np.arange(1 << n, dtype=np.int64) & b_int
-    x ^= x >> 16
-    x ^= x >> 8
-    x ^= x >> 4
-    x ^= x >> 2
-    x ^= x >> 1
-    return 1.0 - 2.0 * (x & 1)
+def _ones(n: int, mask: int) -> np.ndarray:
+    """The set bits of v & mask for every basis index v < 2^n.  Index and
+    mask are both uint64: numpy 1.x promotes a signed and an unsigned
+    operand to float64."""
+    return _popcount(np.arange(1 << n, dtype=np.uint64) & np.uint64(mask))
 
 
 def _check_qubit(E: PauliOperator):
@@ -117,8 +109,8 @@ def apply_pauli(E: PauliOperator, state: np.ndarray) -> np.ndarray:
     if state.shape[0] != 1 << E.n:
         raise ShapeMismatch(f"state dimension {state.shape[0]} != 2^{E.n}")
     # row j of the result is row j ^ a of the input, times its phase and sign
-    perm = np.arange(1 << E.n) ^ _vec_int(E.a)
-    signs = (1j ** E.phase) * _parity_signs(E.n, _vec_int(E.b))[perm]
+    perm = np.arange(1 << E.n) ^ fmatrix._pack(E.a)
+    signs = (1j ** E.phase) * (1.0 - 2.0 * (_ones(E.n, fmatrix._pack(E.b)) & 1))[perm]
     out = state[perm]
     out *= signs[:, None] if state.ndim == 2 else signs
     return out
@@ -149,10 +141,6 @@ def projector_apply(G: GeneratorSet, syndrome, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _syndrome_bits(s: int, g: int) -> tuple[int, ...]:
-    return tuple((s >> (g - 1 - j)) & 1 for j in range(g))
-
-
 def eigenspace_dims(G: GeneratorSet) -> list[int]:
     """Ranks of all 2^|G| syndrome projectors, via traces of idempotents.
 
@@ -168,7 +156,7 @@ def eigenspace_dims(G: GeneratorSet) -> list[int]:
     block = min(dim_total, 512)
     dims = []
     for s in range(1 << G.size):
-        bits = _syndrome_bits(s, G.size)
+        bits = fmatrix._unpack(s, G.size)
         tr = 0.0 + 0.0j
         for start in range(0, dim_total, block):
             stop = min(start + block, dim_total)
@@ -279,9 +267,7 @@ def kl_verify(G: GeneratorSet, delta: int) -> KLResult:
     K = C.shape[1]
     dim = 1 << G.n
     idx = np.arange(dim)
-    pc = np.zeros(dim, dtype=np.int64)
-    for t in range(G.n):
-        pc += (idx >> t) & 1
+    pc = _ones(G.n, dim - 1)
     parity = 1.0 - 2.0 * (pc & 1)
     eye = np.eye(K)
     rows = max(1, _KL_CHUNK // (dim * K))
@@ -302,8 +288,7 @@ def kl_verify(G: GeneratorSet, delta: int) -> KLResult:
             e = int(hit.argmax())
             checked += e + 1
             i, j = divmod(int(bad[e].argmax()), K)
-            a_bits = tuple((int(a_int) >> (G.n - 1 - t)) & 1 for t in range(G.n))
-            b_bits = tuple((int(bs[b0 + e]) >> (G.n - 1 - t)) & 1 for t in range(G.n))
-            op = PauliOperator(_F2, G.n, a_bits, b_bits, 0)
+            a, b = (fmatrix._unpack(int(x), G.n) for x in (a_int, bs[b0 + e]))
+            op = PauliOperator(_F2, G.n, a, b, 0)
             return KLResult(False, KLWitness(op, i, j, complex(M[e, i, j])), checked, K)
     return KLResult(True, None, checked, K)

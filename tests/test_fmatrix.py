@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from stabforge import fmatrix
 from stabforge.code import additive_code, is_subcode, linear_code, symplectic_code
 from stabforge.errors import BadRange, DimensionMismatch
 from stabforge.fmatrix import (
@@ -118,6 +119,44 @@ def test_kernel_is_canonical_on_rank_deficient_matrices(q):
         assert K == rref(K)[0]
         assert K.nrows == ncols - rank(M) > 0
         assert all(field.dot(row, v) == 0 for row in M.rows for v in K.rows)
+
+
+# packed GF(2) rows end just before, at and after a 64-bit boundary
+PACKED_WIDTHS = (0, 1, 63, 64, 65, 130)
+
+
+def _rref_by_tables(M):
+    """`rref` through the add and mul tables, as for any q: the reference
+    for the packed GF(2) elimination."""
+    rows, pivots = fmatrix._rref_gfq(M.field, [list(r) for r in M.rows], M.ncols)
+    return FqMatrix(M.field, tuple(map(tuple, rows)), M.ncols), len(pivots), tuple(pivots)
+
+
+@pytest.mark.parametrize("width", PACKED_WIDTHS)
+def test_gf2_rref_and_kernel_match_the_table_reduction(monkeypatch, width):
+    """Packed rows reduce to what the table elimination gives, on matrices
+    with no rows, with zero rows, rank-deficient and wider than tall."""
+    rng = random.Random(width)
+    mats = [matrix(F2, [], width)]
+    for r in (1, 3, width // 2, width + 2):
+        rows = [[int(rng.random() < 0.3) for _ in range(width)] for _ in range(r)]
+        mats.append(matrix(F2, rows, width))
+        mats.append(matrix(F2, [[0] * width] + rows[: r // 2] * 2, width))
+    got = [(rref(M), kernel(M).rows) for M in mats]
+    monkeypatch.setattr(fmatrix, "rref", _rref_by_tables)
+    assert got == [(_rref_by_tables(M), kernel(M).rows) for M in mats]
+
+
+@pytest.mark.parametrize("width", PACKED_WIDTHS)
+def test_pack_round_trips_with_column_0_as_the_top_bit(width):
+    rng = random.Random(width)
+    rows = [(0,) * width, (1,) * width] + [tuple(rng.randrange(2) for _ in range(width)) for _ in range(50)]
+    for row in rows:
+        assert fmatrix._unpack(fmatrix._pack(row), width) == row
+    # ints compare as their rows do
+    assert sorted(rows, key=fmatrix._pack) == sorted(rows)
+    if width:
+        assert fmatrix._pack((1,) + (0,) * (width - 1)) == 1 << (width - 1)
 
 
 def test_dimension_mismatch():

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from stabforge import statevec
+from stabforge import code, statevec
 from stabforge.code import symplectic_code, symplectic_pair
 from stabforge.errors import BadRange, ShapeMismatch, StabforgeError, TooLarge, UnsupportedField
 from stabforge.gf import field_make
@@ -45,7 +45,11 @@ def test_z_action_signs():
     np.testing.assert_array_equal(out, basis_state(2, "11"))
 
 
-def test_z11_matrix_is_expected_diagonal():
+@pytest.mark.parametrize("popcount", ["native", "swar"])
+def test_z11_matrix_is_expected_diagonal(monkeypatch, popcount):
+    # "swar" runs the popcount numpy 1.x falls back to
+    if popcount == "swar":
+        monkeypatch.setattr(statevec, "_popcount", code._swar_popcount)
     M = pauli_matrix(pauli_parse("ZZ", F2))
     np.testing.assert_array_equal(np.diag(M), np.array([1, -1, -1, 1], dtype=complex))
 
@@ -90,6 +94,13 @@ def test_apply_pauli_rejects_qudits_and_bad_shapes():
         apply_pauli(pauli_parse("X", F2), np.zeros(4, dtype=complex))
 
 
+def test_basis_state_rejects_entries_other_than_bits():
+    for bits in ("21", "0a", [3, 1], [0, -1], (0.5, 1)):
+        with pytest.raises(BadRange):
+            basis_state(2, bits)
+    np.testing.assert_array_equal(basis_state(2, [True, np.int64(1)]), basis_state(2, "11"))
+
+
 def test_generator_set_validation(ex512):
     G = generator_set(ex512)
     assert G.size == 4 and G.phases == (0, 0, 0, 0)
@@ -97,6 +108,8 @@ def test_generator_set_validation(ex512):
         GeneratorSet(n=2, rows=((1, 0, 0, 0), (1, 0, 0, 0)), phases=(0, 0))
     with pytest.raises(StabforgeError):
         GeneratorSet(n=1, rows=((1, 1),), phases=(0,))  # parity law broken
+    with pytest.raises(BadRange):
+        GeneratorSet(n=1, rows=((2, 0), (0, 1)), phases=(0, 0))  # not bits, before any pairing
 
 
 def test_empty_generator_set_projector_is_identity():
@@ -317,9 +330,13 @@ def test_kl_verify_matches_dense_reference(n, k):
     _assert_matches_reference(G, range(n + 1))
 
 
-def test_kl_verify_matches_dense_reference_on_named_codes(ex512):
+@pytest.mark.parametrize("popcount", ["native", "swar"])
+def test_kl_verify_matches_dense_reference_on_named_codes(monkeypatch, ex512, popcount):
     # [[5,1,3]] and Shor's degenerate [[9,1,3]] pass at delta 2 over
-    # hundreds of errors, which random codes of low distance seldom do
+    # hundreds of errors, which random codes of low distance seldom do.
+    # "swar" runs the popcount numpy 1.x falls back to
+    if popcount == "swar":
+        monkeypatch.setattr(statevec, "_popcount", code._swar_popcount)
     def row(xs, zs):
         return tuple(int(q in xs) for q in range(9)) + tuple(int(q in zs) for q in range(9))
 
