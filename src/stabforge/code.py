@@ -247,7 +247,10 @@ class LinearCode:
         self.n = n
         self.linearity = linearity
         base, width = (field, n) if linearity == LINEAR else (quad_ext(field).sub, 2 * n)
-        self.basis, self.k_dim, self.pivots = fmatrix.rref(fmatrix.matrix(base, rows, width))
+        # a matrix over the base field was checked where it was made
+        if not (isinstance(rows, FqMatrix) and rows.field is base and rows.ncols == width):
+            rows = fmatrix.matrix(base, rows, width)
+        self.basis, self.k_dim, self.pivots = fmatrix.rref(rows)
 
     @property
     def gen(self) -> FqMatrix:
@@ -266,6 +269,10 @@ class LinearCode:
         return quad_ext(self.field).phi_inv(v) if self.is_additive else tuple(v)
 
     def contains(self, v) -> bool:
+        """Whether the word v of F_q^n lies in the code."""
+        (v,) = fmatrix.matrix(self.field, [v]).rows  # BadRange unless each entry is in F_q
+        if len(v) != self.n:
+            raise DimensionMismatch(f"word of length {len(v)} for a code of length {self.n}")
         return fmatrix.in_span(self.basis, self.pivots, self.coords(v))
 
     def __eq__(self, other) -> bool:
@@ -361,7 +368,7 @@ def additive_code(field: Field, rows, n: int | None = None) -> LinearCode:
     ext = quad_ext(field)
     rows, n = _rows_and_length(rows, n)
     M = fmatrix.matrix(field, rows, n)  # entries in range before they are split
-    return LinearCode(field, n, [ext.phi_inv(r) for r in M.rows], ADDITIVE)
+    return LinearCode(field, n, FqMatrix(ext.sub, tuple(map(ext.phi_inv, M.rows)), 2 * n), ADDITIVE)
 
 
 def as_additive(C: LinearCode) -> LinearCode:
@@ -400,6 +407,9 @@ def _same_kind(A: LinearCode, B: LinearCode) -> tuple[LinearCode, LinearCode]:
 def is_subcode(B: LinearCode, A: LinearCode) -> bool:
     """Whether every generator of B lies in the span of A."""
     A, B = _same_kind(A, B)
+    if A.basis.field.q == 2:
+        mask, rows = A.basis._pivot_rows
+        return not any(fmatrix._reduce_gf2(x, mask, rows) for x in B.basis.packed)
     return all(fmatrix.in_span(A.basis, A.pivots, r) for r in B.basis.rows)
 
 
@@ -454,7 +464,7 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
             tuple(add[mul[x][p_aa]][mul[y][p_ba]] for x, y in zip(a, b))
             + tuple(add[mul[x][p_ab]][mul[y][p_bb]] for x, y in zip(a, b))
         )
-    K = fmatrix.kernel(fmatrix.matrix(base, constraint, 2 * half))
+    K = fmatrix.kernel(FqMatrix(base, tuple(constraint), 2 * half))
     if ip == "symplectic":
         return SymplecticCode(f, C.n, K)
     return LinearCode(f, half, K, ADDITIVE)
@@ -469,7 +479,8 @@ def hull(C: LinearCode, ip: str) -> LinearCode:
 def sum_code(A: LinearCode, B: LinearCode) -> LinearCode:
     """Span of the union of two codes, additive if either one is."""
     A, B = _same_kind(A, B)
-    return LinearCode(A.field, A.n, A.basis.rows + B.basis.rows, A.linearity)
+    rows = FqMatrix(A.basis.field, A.basis.rows + B.basis.rows, A.basis.ncols)
+    return LinearCode(A.field, A.n, rows, A.linearity)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +800,7 @@ def dump_code(C: LinearCode) -> str:
         lines.append(f"# gamma residue {quad_ext(C.field).gamma}")
     lines.append("rows")
     for r in C.gen.rows:
-        lines.append(" ".join(str(x) for x in r))
+        lines.append(" ".join(map(str, r)))
     return "\n".join(lines) + "\n"
 
 

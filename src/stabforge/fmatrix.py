@@ -1,10 +1,18 @@
 """Row-reduction, kernels, span membership and products over GF(q).
 
-Matrices are immutable row tuples of integer residues.  GF(2) elimination
-runs on machine-word bitsets, one int per row.  This module owns the one
-bit order of a packed GF(2) row: column 0 is the top bit, so ints compare
-as their rows do.  `_pack` and `_unpack` convert, and the minimum-weight
-walk in `code` and the dense oracle in `statevec` read the same order.
+Matrices are immutable row tuples of integer residues.  An `FqMatrix`
+checks the range of its entries where it is made, so `code` takes one over
+the right field as it is; a reduction's result, in range by construction,
+skips the check.  `rref` returns a matrix that is already canonical as it
+is, after one pass over its rows and columns.
+GF(2) elimination runs on machine-word bitsets, one int per row.  This
+module owns the one bit order of a packed GF(2) row: column 0 is the top
+bit, so ints compare as their rows do.  `_pack` and `_unpack` convert, and
+the minimum-weight walk in `code` and the dense oracle in `statevec` read
+the same order.  It also owns a GF(2) matrix's packed rows, `packed`:
+`rref` keeps the ints of its elimination on the matrix it returns, and any
+other matrix packs its rows once, on first use.  Membership XORs those
+ints, one basis row per pivot bit the word sets.
 Other fields read rows of the field's add and mul tables, so scaling a row
 or subtracting a multiple of one is one list comprehension of lookups.
 Sizes here are small; the heavy enumeration loops live in `code`.
@@ -13,6 +21,8 @@ Sizes here are small; the heavy enumeration loops live in `code`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .errors import BadRange, DimensionMismatch
 from .gf import Field
@@ -25,9 +35,13 @@ class FqMatrix:
     ncols: int
 
     def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise DimensionMismatch("ragged rows")
+        values = set(chain.from_iterable(self.rows))
+        q = self.field.q
+        if values and (min(values) < 0 or max(values) >= q):
+            bad = next(x for x in chain.from_iterable(self.rows) if not 0 <= x < q)
+            raise BadRange(f"matrix entry {bad} is not an element of GF({q}) (expected 0..{q - 1})")
+        if not set(map(len, self.rows)) <= {self.ncols}:
+            raise DimensionMismatch("ragged rows")
 
     @property
     def nrows(self) -> int:
@@ -36,12 +50,33 @@ class FqMatrix:
     def __iter__(self):
         return iter(self.rows)
 
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The GF(2) rows as ints in `_pack`'s order; `rref` sets them on
+        the matrices it reduces."""
+        return tuple(map(_pack, self.rows))
+
+    @cached_property
+    def _pivot_rows(self) -> tuple[int, dict[int, int]]:
+        """For a GF(2) matrix in rref: the mask of its pivot bits, and each
+        packed row by its pivot bit, the row's top bit."""
+        rows = {1 << (r.bit_length() - 1): r for r in self.packed}
+        return sum(rows), rows
+
+
+def _trusted(field: Field, rows: tuple, ncols: int, packed: tuple[int, ...] | None = None) -> FqMatrix:
+    """A reduction's result, made without `FqMatrix`'s check: its rows are
+    in range and of length ncols by construction.  `packed`, if given,
+    fills the cache of its packed GF(2) rows."""
+    M = object.__new__(FqMatrix)
+    M.__dict__.update(field=field, rows=rows, ncols=ncols)
+    if packed is not None:
+        M.__dict__["packed"] = packed
+    return M
+
 
 def matrix(field: Field, rows, ncols: int | None = None) -> FqMatrix:
     rows = tuple(tuple(map(int, r)) for r in rows)
-    bad = next((x for r in rows for x in r if not 0 <= x < field.q), None)
-    if bad is not None:
-        raise BadRange(f"matrix entry {bad} is not an element of GF({field.q}) (expected 0..{field.q - 1})")
     if ncols is None:
         if not rows:
             raise DimensionMismatch("cannot infer column count of an empty matrix")
@@ -72,24 +107,35 @@ def _unpack(v: int, ncols: int) -> tuple[int, ...]:
     return tuple(format(v, f"0{ncols}b").encode().translate(_BIT_BYTES)) if ncols else ()
 
 
-def _rref_gf2(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    mat = rows[:]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(mat):
-            break
-        bit = 1 << (ncols - 1 - c)
-        pivot = next((i for i in range(r, len(mat)) if mat[i] & bit), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i] & bit:
-                mat[i] ^= mat[r]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+def _reduce_gf2(x: int, mask: int, rows: dict[int, int]) -> int:
+    """Packed x less the row of each pivot bit it sets.  `rows` maps each
+    bit of `mask` to a row whose only bit in `mask` it is, so the bits to
+    clear are read off x once; the result is zero iff x is in their span."""
+    y = x & mask
+    while y:
+        low = y & -y
+        x ^= rows[low]
+        y ^= low
+    return x
+
+
+def _rref_gf2(rows: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each row, reduced by the basis so far, adds its top bit as a pivot
+    and clears that bit from the earlier rows.  Sorted, the rows are in
+    rref: column 0 is the top bit, so each row sorts by its pivot."""
+    basis: dict[int, int] = {}
+    mask = 0
+    for x in rows:
+        x = _reduce_gf2(x, mask, basis)
+        if x:
+            top = 1 << (x.bit_length() - 1)
+            for b, r in basis.items():
+                if r & top:
+                    basis[b] = r ^ x
+            basis[top] = x
+            mask |= top
+    packed = tuple(sorted(basis.values(), reverse=True))
+    return packed, tuple(ncols - r.bit_length() for r in packed)
 
 
 def _rref_gfq(field: Field, mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -116,23 +162,50 @@ def _rref_gfq(field: Field, mat: list[list[int]], ncols: int) -> tuple[list[list
     return mat[:r], pivots
 
 
+def _canonical_pivots(M: FqMatrix) -> tuple[int, ...] | None:
+    """The pivots of M if M is already in rref, else None: each row leads
+    with a 1, the leading columns strictly rise, and each of them is zero
+    in every other row."""
+    pivots = [-1]
+    for r in M.rows:
+        c = r.index(1) if 1 in r else -1  # -1: a zero row, or one with no entry 1
+        if c <= pivots[-1] or any(r[:c]):
+            return None
+        pivots.append(c)
+    cols = tuple(zip(*M.rows))
+    if any(cols[c].count(0) != M.nrows - 1 for c in pivots[1:]):
+        return None
+    return tuple(pivots[1:])
+
+
 def rref(M: FqMatrix) -> tuple[FqMatrix, int, tuple[int, ...]]:
-    """Canonical reduced row echelon form: (R, rank, pivot columns)."""
+    """Canonical reduced row echelon form: (R, rank, pivot columns).
+    A matrix already in that form is returned as it is."""
+    pivots = _canonical_pivots(M)
+    if pivots is not None:
+        return M, len(pivots), pivots
     if M.field.q == 2:
-        packed, pivots = _rref_gf2([_pack(r) for r in M.rows], M.ncols)
-        rows = tuple(_unpack(v, M.ncols) for v in packed)
-    else:
-        reduced, pivots = _rref_gfq(M.field, [list(r) for r in M.rows], M.ncols)
-        rows = tuple(tuple(r) for r in reduced)
-    return FqMatrix(M.field, rows, M.ncols), len(pivots), tuple(pivots)
+        packed, pivots = _rref_gf2(M.packed, M.ncols)
+        R = _trusted(M.field, tuple(_unpack(v, M.ncols) for v in packed), M.ncols, packed)
+        return R, len(pivots), pivots
+    reduced, pivots = _rref_gfq(M.field, [list(r) for r in M.rows], M.ncols)
+    return _trusted(M.field, tuple(map(tuple, reduced)), M.ncols), len(pivots), tuple(pivots)
 
 
 def rank(M: FqMatrix) -> int:
     return rref(M)[1]
 
 
+def _check_word(R: FqMatrix, v):
+    if len(v) != R.ncols:
+        raise DimensionMismatch(f"word of length {len(v)} against a basis of {R.ncols} columns")
+
+
 def reduce_against(R: FqMatrix, pivots: tuple[int, ...], v) -> tuple[int, ...]:
     """Residual of v after elimination by an rref basis; zero iff in span."""
+    _check_word(R, v)
+    if R.field.q == 2:
+        return _unpack(_reduce_gf2(_pack(v), *R._pivot_rows), R.ncols)
     add, mul, neg, _ = R.field.tables()
     v = list(v)
     for row, c in zip(R.rows, pivots):
@@ -143,6 +216,9 @@ def reduce_against(R: FqMatrix, pivots: tuple[int, ...], v) -> tuple[int, ...]:
 
 
 def in_span(R: FqMatrix, pivots: tuple[int, ...], v) -> bool:
+    if R.field.q == 2:
+        _check_word(R, v)
+        return not _reduce_gf2(_pack(v), *R._pivot_rows)
     return not any(reduce_against(R, pivots, v))
 
 
@@ -154,7 +230,7 @@ def kernel(M: FqMatrix) -> FqMatrix:
     of f and at every other free column: listed by f, already the rref."""
     neg = M.field.tables()[2]
     n = M.ncols
-    R, _, pivots = rref(FqMatrix(M.field, tuple(r[::-1] for r in M.rows), n))
+    R, _, pivots = rref(_trusted(M.field, tuple(r[::-1] for r in M.rows), n))
     pivot_set = set(pivots)
     basis = []
     for fc in reversed(range(n)):  # reversed columns: original order ascending
@@ -165,7 +241,7 @@ def kernel(M: FqMatrix) -> FqMatrix:
         for row, pc in zip(R.rows, pivots):
             v[pc] = neg[row[fc]]
         basis.append(tuple(v[::-1]))
-    return FqMatrix(M.field, tuple(basis), n)
+    return _trusted(M.field, tuple(basis), n)
 
 
 def transpose(M: FqMatrix) -> FqMatrix:

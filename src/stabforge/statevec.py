@@ -129,7 +129,9 @@ def projector_apply(G: GeneratorSet, syndrome, v: np.ndarray) -> np.ndarray:
 
     The result satisfies g_j w = (-1)^s_j w for every generator.
     """
-    syndrome = tuple(int(s) & 1 for s in syndrome)
+    syndrome = tuple(syndrome)
+    if any(s not in (0, 1) for s in syndrome):
+        raise BadRange(f"syndrome {syndrome!r} has an entry other than 0 or 1")
     if len(syndrome) != G.size:
         raise ShapeMismatch("syndrome length must match the generator count")
     w = np.asarray(v, dtype=complex)

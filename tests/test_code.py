@@ -45,7 +45,9 @@ from stabforge.code import (
     hermitian_pair,
 )
 from stabforge.errors import (
+    BadRange,
     CodeFileError,
+    DimensionMismatch,
     EmptyDifference,
     NotNested,
     OddLength,
@@ -322,6 +324,24 @@ def test_is_subcode_reflexive(hamming74):
 def test_hamming_contains_its_dual(hamming74, simplex73):
     assert is_subcode(simplex73, hamming74)
     assert dual(hamming74, "euclidean").gen.rows == simplex73.gen.rows
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_contains_refuses_a_word_of_the_wrong_length_or_field(q):
+    """zip would truncate (1, 1) to a member of a length-3 code, an entry
+    of q would index past the tables, and -1 would read from their end."""
+    f = field_of_order(q)
+    codes = [linear_code(f, [(1, 1, 0)])]
+    if q == 4:
+        codes.append(additive_code(f, [(1, 1, 0), (2, 2, 0)]))
+    for C in codes:
+        assert C.contains((1, 1, 0)) and C.contains([0, 0, 0]) and not C.contains((1, 0, 0))
+        for v in ((1, 1), (1, 1, 0, 0), ()):
+            with pytest.raises(DimensionMismatch, match=f"length {len(v)} for a code of length 3"):
+                C.contains(v)
+        for v, bad in (((q, 0, 0), q), ((0, 0, 255), 255), ((-1, 0, 0), -1)):
+            with pytest.raises(BadRange, match=rf"entry {bad} is not an element of GF\({q}\) \(expected 0..{q - 1}\)"):
+                C.contains(v)
 
 
 def test_repetition_not_in_simplex(f2, simplex73):

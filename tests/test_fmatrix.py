@@ -159,6 +159,104 @@ def test_pack_round_trips_with_column_0_as_the_top_bit(width):
         assert fmatrix._pack((1,) + (0,) * (width - 1)) == 1 << (width - 1)
 
 
+def _reduce_by_tables(R, pivots, v):
+    """`reduce_against` through the add and mul tables, as for any q: the
+    reference for the packed GF(2) reduction."""
+    add, mul, neg, _ = R.field.tables()
+    v = list(v)
+    for row, c in zip(R.rows, pivots):
+        if v[c]:
+            m = mul[neg[v[c]]]
+            v = [add[x][m[y]] for x, y in zip(v, row)]
+    return tuple(v)
+
+
+@pytest.mark.parametrize("width", PACKED_WIDTHS)
+def test_gf2_packed_membership_matches_the_table_reduction(width):
+    """in_span, reduce_against and is_subcode XOR packed rows; they must
+    agree with the table reduction and with ranks, for members (sums of
+    basis rows) and non-members alike."""
+    rng = random.Random(width)
+    for r in (0, 1, width // 3, width):
+        A = linear_code(F2, [[int(rng.random() < 0.4) for _ in range(width)] for _ in range(r)], n=width)
+        R, piv = A.basis, A.pivots
+        assert R.packed == tuple(map(fmatrix._pack, R.rows))  # kept from the elimination
+        members = [tuple(sum(col) % 2 for col in zip((0,) * width, *rng.sample(R.rows, rng.randrange(R.nrows + 1))))
+                   for _ in range(8)]
+        others = [tuple(rng.randrange(2) for _ in range(width)) for _ in range(20)]
+        for v in members + others:
+            residue = _reduce_by_tables(R, piv, v)
+            assert reduce_against(R, piv, v) == residue
+            assert in_span(R, piv, v) == (not any(residue))
+        assert all(in_span(R, piv, v) for v in members)
+        assert A.k_dim == width or not all(in_span(R, piv, v) for v in others)
+        for k in (1, 2, 3):
+            B = linear_code(F2, rng.sample(members + others, k), n=width)
+            assert is_subcode(B, A) == (_rref_by_tables(matrix(F2, R.rows + B.basis.rows, width))[1] == A.k_dim)
+        assert is_subcode(linear_code(F2, members, n=width), A)
+
+
+# the fields with a golden digest, and GF(49)
+RREF_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 256)
+
+
+@pytest.mark.parametrize("q", RREF_FIELDS)
+def test_rref_of_canonical_input_is_that_input(q):
+    """rref's output, a kernel and an identity are canonical: rref returns
+    each as it is, with the same pivots."""
+    field = field_of_order(q)
+    rng = random.Random(q)
+    for r, c in ((1, 1), (3, 7), (6, 4), (8, 16)):
+        M = random_matrix(field, r, c, rng)
+        R, rk, piv = rref(M)
+        assert rref(R) == (R, rk, piv) == _rref_by_tables(R)
+        assert rref(R)[0] is R
+        K = kernel(M)
+        assert rref(K)[0] is K and rref(K) == _rref_by_tables(K)
+    I = identity(field, 5)
+    assert rref(I) == (I, 5, (0, 1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("q", RREF_FIELDS)
+def test_rref_reduces_near_canonical_input(q):
+    """Inputs one defect away from rref take the full reduction and come
+    out as the table elimination gives; no rows and no columns are their
+    own rref."""
+    field = field_of_order(q)
+    near = [
+        ((1, 0, 1), (0, 1, 1), (0, 0, 0)),  # a zero row
+        ((1, 1, 0), (0, 1, 0)),  # a second nonzero in pivot column 1
+        ((1, 0, 0), (1, 0, 1)),  # ... in pivot column 0, below its pivot
+        ((0, 1, 0), (1, 0, 0)),  # falling pivots
+        ((0, 0, 1), (0, 0, 1)),  # a repeated pivot
+        ((0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    ]
+    if q > 2:
+        near.append(((q - 1, 0, 1), (0, 1, 1)))  # a leading entry other than 1
+        near.append(((1, q - 1, 0), (0, 1, 0)))
+    for rows in near:
+        M = matrix(field, rows)
+        assert fmatrix._canonical_pivots(M) is None
+        assert rref(M) == _rref_by_tables(M)
+    for M in (matrix(field, [], 3), matrix(field, [(), ()], 0), matrix(field, [()], 0)):
+        assert rref(M)[1:] == _rref_by_tables(M)[1:] == (0, ())
+        assert rref(M)[0].rows == ()
+
+
+def test_hand_built_matrix_is_checked_where_it_is_made():
+    """LinearCode takes an FqMatrix over its base field as it is, so the
+    range check lives in FqMatrix itself, with matrix()'s wording."""
+    with pytest.raises(BadRange, match=r"entry 5 is not an element of GF\(4\) \(expected 0..3\)"):
+        linear_code(F4, FqMatrix(F4, ((1, 0), (5, 7)), 2))
+    with pytest.raises(BadRange, match="entry -1 "):
+        linear_code(F2, FqMatrix(F2, ((1, -1),), 2))
+    with pytest.raises(BadRange, match="entry 2 "):
+        symplectic_code(F2, FqMatrix(F2, ((0, 1, 2, 0),), 4))
+    M = FqMatrix(F4, ((0, 1), (1, 0)), 2)
+    C = linear_code(F4, M)
+    assert C.basis.rows == ((1, 0), (0, 1)) and C.pivots == (0, 1)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch, match="matmul"):
         matmul(matrix(F2, [(1, 0)]), matrix(F2, [(1, 0, 0)]))
@@ -168,6 +266,14 @@ def test_dimension_mismatch():
         symplectic_code(F2, [])
     with pytest.raises(DimensionMismatch, match="ambient"):
         is_subcode(linear_code(F2, [(1, 0)]), linear_code(F2, [(1, 0, 0)]))
+    # packed, (0, 1, 0, 0) would carry the bit of row (1, 0, 0)'s pivot
+    for field in (F2, F4):
+        R, _, piv = rref(matrix(field, [(1, 0, 0)]))
+        for v in ((0, 1, 0, 0), (1, 0)):
+            with pytest.raises(DimensionMismatch, match=f"length {len(v)} against a basis of 3 columns"):
+                in_span(R, piv, v)
+            with pytest.raises(DimensionMismatch, match=f"length {len(v)} against"):
+                reduce_against(R, piv, v)
 
 
 def test_matrix_rejects_entry_above_field():

@@ -69,7 +69,9 @@ def test_apply_pauli_is_unitary():
 
 def test_apply_pauli_respects_mul_phases_exhaustively():
     # composition of actions must equal the action of the product with exact
-    # phases; this pins the multiplication convention to the Hilbert space
+    # phases; this pins the multiplication convention to the Hilbert space.
+    # Each E acts once on the images F v of every operator F, stacked as the
+    # columns of one state, and E F v is compared with the image of E * F
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -78,13 +80,14 @@ def test_apply_pauli_respects_mul_phases_exhaustively():
             for bits in itertools.product((0, 1), repeat=2 * n)
             for ph in range(4)
         ]
-        images = [apply_pauli(E, v) for E in ops]
-        for E, Ev in zip(ops, images):
-            for F, Fv in zip(ops, images):
-                lhs = apply_pauli(E, Fv)
-                rhs = apply_pauli(pauli_mul(E, F), v)
-                if not np.allclose(lhs, rhs, atol=1e-12):
-                    raise AssertionError(f"composition mismatch for {E} and {F}")
+        images = np.stack([apply_pauli(E, v) for E in ops], axis=1)
+        column = {(F.a, F.b, F.phase): j for j, F in enumerate(ops)}
+        for E in ops:
+            lhs = apply_pauli(E, images)
+            rhs = images[:, [column[(P.a, P.b, P.phase)] for P in (pauli_mul(E, F) for F in ops)]]
+            close = np.isclose(lhs, rhs, atol=1e-12).all(axis=0)
+            if not close.all():
+                raise AssertionError(f"composition mismatch for {E} and {ops[int(np.argmin(close))]}")
 
 
 def test_apply_pauli_rejects_qudits_and_bad_shapes():
@@ -117,6 +120,18 @@ def test_empty_generator_set_projector_is_identity():
     v = np.arange(8, dtype=complex)
     np.testing.assert_array_equal(projector_apply(G, (), v), v)
     assert eigenspace_dims(G) == [8]
+
+
+def test_projector_apply_rejects_syndrome_entries_other_than_bits(ex512):
+    # read mod 2, 3 would act as 1 and -2 as 0
+    G = generator_set(ex512)
+    v = basis_state(5, "00000")
+    for syndrome in ((3, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 0.5)):
+        with pytest.raises(BadRange, match="other than 0 or 1"):
+            projector_apply(G, syndrome, v)
+    np.testing.assert_array_equal(
+        projector_apply(G, (True, 0, np.int64(1), 0), v), projector_apply(G, (1, 0, 1, 0), v)
+    )
 
 
 def test_projector_against_group_sum_oracle(ex512):
