@@ -236,10 +236,9 @@ class LinearCode:
 
     `basis` is the rref of the spanning rows over the linearity field:
     F_q^n rows for a linear code, Phi-preimage rows (a|b) in F_r^{2n} for
-    an additive code over F_q, r = sqrt(q).  `pivots` are its pivot
-    columns and `k_dim` its rank, the dimension over that field.  The
-    constructor is the only place a code is reduced, and `basis` is the
-    only matrix a code stores.
+    an additive code over F_q, r = sqrt(q).  `k_dim` is its rank, the
+    dimension over that field.  The constructor is the only place a code
+    is reduced, and `basis` is the only matrix a code stores.
     """
 
     def __init__(self, field: Field, n: int, rows, linearity: str = LINEAR):
@@ -250,7 +249,7 @@ class LinearCode:
         # a matrix over the base field was checked where it was made
         if not (isinstance(rows, FqMatrix) and rows.field is base and rows.ncols == width):
             rows = fmatrix.matrix(base, rows, width)
-        self.basis, self.k_dim, self.pivots = fmatrix.rref(rows)
+        self.basis, self.k_dim, _ = fmatrix.rref(rows)
 
     @property
     def gen(self) -> FqMatrix:
@@ -273,7 +272,7 @@ class LinearCode:
         (v,) = fmatrix.matrix(self.field, [v]).rows  # BadRange unless each entry is in F_q
         if len(v) != self.n:
             raise DimensionMismatch(f"word of length {len(v)} for a code of length {self.n}")
-        return fmatrix.in_span(self.basis, self.pivots, self.coords(v))
+        return fmatrix.in_span(self.basis, self.coords(v))
 
     def __eq__(self, other) -> bool:
         return (
@@ -407,10 +406,7 @@ def _same_kind(A: LinearCode, B: LinearCode) -> tuple[LinearCode, LinearCode]:
 def is_subcode(B: LinearCode, A: LinearCode) -> bool:
     """Whether every generator of B lies in the span of A."""
     A, B = _same_kind(A, B)
-    if A.basis.field.q == 2:
-        mask, rows = A.basis._pivot_rows
-        return not any(fmatrix._reduce_gf2(x, mask, rows) for x in B.basis.packed)
-    return all(fmatrix.in_span(A.basis, A.pivots, r) for r in B.basis.rows)
+    return fmatrix.rows_in_span(A.basis, B.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +610,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
                 key = tuple(level[:, i].tolist())
                 if v == best_w and key >= best_v:
                     break
-                if exclude is None or not fmatrix.in_span(exclude.basis, exclude.pivots, unpack(key)):
+                if exclude is None or not fmatrix.in_span(exclude.basis, unpack(key)):
                     best_w, best_v = int(v), key
                     return
             live = live[lw > v]

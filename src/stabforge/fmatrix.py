@@ -3,8 +3,8 @@
 Matrices are immutable row tuples of integer residues.  An `FqMatrix`
 checks the range of its entries where it is made, so `code` takes one over
 the right field as it is; a reduction's result, in range by construction,
-skips the check.  `rref` returns a matrix that is already canonical as it
-is, after one pass over its rows and columns.
+skips the check.  `rref` and `kernel` record the pivots of what they
+return; `rref` returns such a matrix as it is and reduces any other one.
 GF(2) elimination runs on machine-word bitsets, one int per row.  This
 module owns the one bit order of a packed GF(2) row: column 0 is the top
 bit, so ints compare as their rows do.  `_pack` and `_unpack` convert, and
@@ -33,6 +33,7 @@ class FqMatrix:
     field: Field
     rows: tuple[tuple[int, ...], ...]
     ncols: int
+    _pivots = None  # a reduction's result records its pivot columns here
 
     def __post_init__(self):
         values = set(chain.from_iterable(self.rows))
@@ -64,14 +65,13 @@ class FqMatrix:
         return sum(rows), rows
 
 
-def _trusted(field: Field, rows: tuple, ncols: int, packed: tuple[int, ...] | None = None) -> FqMatrix:
+def _trusted(field: Field, rows: tuple, ncols: int, **known) -> FqMatrix:
     """A reduction's result, made without `FqMatrix`'s check: its rows are
-    in range and of length ncols by construction.  `packed`, if given,
-    fills the cache of its packed GF(2) rows."""
+    in range and of length ncols by construction.  `known` sets what the
+    reduction knows of it: `_pivots`, its pivot columns if it is in rref,
+    and `packed`, its packed GF(2) rows."""
     M = object.__new__(FqMatrix)
-    M.__dict__.update(field=field, rows=rows, ncols=ncols)
-    if packed is not None:
-        M.__dict__["packed"] = packed
+    M.__dict__.update(field=field, rows=rows, ncols=ncols, **known)
     return M
 
 
@@ -138,7 +138,7 @@ def _rref_gf2(rows: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], tuple
     return packed, tuple(ncols - r.bit_length() for r in packed)
 
 
-def _rref_gfq(field: Field, mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _rref_gfq(field: Field, mat: list[list[int]], ncols: int) -> tuple[list[list[int]], tuple[int, ...]]:
     add, mul, neg, inv = field.tables()
     pivots: list[int] = []
     r = 0
@@ -159,51 +159,37 @@ def _rref_gfq(field: Field, mat: list[list[int]], ncols: int) -> tuple[list[list
                 mat[i] = [add[x][m[y]] for x, y in zip(mat[i], row)]
         pivots.append(c)
         r += 1
-    return mat[:r], pivots
-
-
-def _canonical_pivots(M: FqMatrix) -> tuple[int, ...] | None:
-    """The pivots of M if M is already in rref, else None: each row leads
-    with a 1, the leading columns strictly rise, and each of them is zero
-    in every other row."""
-    pivots = [-1]
-    for r in M.rows:
-        c = r.index(1) if 1 in r else -1  # -1: a zero row, or one with no entry 1
-        if c <= pivots[-1] or any(r[:c]):
-            return None
-        pivots.append(c)
-    cols = tuple(zip(*M.rows))
-    if any(cols[c].count(0) != M.nrows - 1 for c in pivots[1:]):
-        return None
-    return tuple(pivots[1:])
+    return mat[:r], tuple(pivots)
 
 
 def rref(M: FqMatrix) -> tuple[FqMatrix, int, tuple[int, ...]]:
     """Canonical reduced row echelon form: (R, rank, pivot columns).
-    A matrix already in that form is returned as it is."""
-    pivots = _canonical_pivots(M)
+    The result of `rref` or `kernel` records its pivots and is returned as
+    it is; any other matrix is reduced, canonical or not."""
+    pivots = M._pivots
     if pivots is not None:
         return M, len(pivots), pivots
     if M.field.q == 2:
         packed, pivots = _rref_gf2(M.packed, M.ncols)
-        R = _trusted(M.field, tuple(_unpack(v, M.ncols) for v in packed), M.ncols, packed)
-        return R, len(pivots), pivots
+        rows = tuple(_unpack(v, M.ncols) for v in packed)
+        return _trusted(M.field, rows, M.ncols, _pivots=pivots, packed=packed), len(pivots), pivots
     reduced, pivots = _rref_gfq(M.field, [list(r) for r in M.rows], M.ncols)
-    return _trusted(M.field, tuple(map(tuple, reduced)), M.ncols), len(pivots), tuple(pivots)
+    return _trusted(M.field, tuple(map(tuple, reduced)), M.ncols, _pivots=pivots), len(pivots), pivots
 
 
 def rank(M: FqMatrix) -> int:
     return rref(M)[1]
 
 
-def _check_word(R: FqMatrix, v):
-    if len(v) != R.ncols:
-        raise DimensionMismatch(f"word of length {len(v)} against a basis of {R.ncols} columns")
+def _check_width(R: FqMatrix, width: int):
+    if width != R.ncols:
+        raise DimensionMismatch(f"word of length {width} against a basis of {R.ncols} columns")
 
 
-def reduce_against(R: FqMatrix, pivots: tuple[int, ...], v) -> tuple[int, ...]:
-    """Residual of v after elimination by an rref basis; zero iff in span."""
-    _check_word(R, v)
+def reduce_against(R: FqMatrix, v) -> tuple[int, ...]:
+    """Residual of v after elimination by the rref of R; zero iff in span."""
+    R, _, pivots = rref(R)
+    _check_width(R, len(v))
     if R.field.q == 2:
         return _unpack(_reduce_gf2(_pack(v), *R._pivot_rows), R.ncols)
     add, mul, neg, _ = R.field.tables()
@@ -215,11 +201,23 @@ def reduce_against(R: FqMatrix, pivots: tuple[int, ...], v) -> tuple[int, ...]:
     return tuple(v)
 
 
-def in_span(R: FqMatrix, pivots: tuple[int, ...], v) -> bool:
+def in_span(R: FqMatrix, v) -> bool:
+    """Whether v lies in the row space of R."""
     if R.field.q == 2:
-        _check_word(R, v)
+        R = rref(R)[0]
+        _check_width(R, len(v))
         return not _reduce_gf2(_pack(v), *R._pivot_rows)
-    return not any(reduce_against(R, pivots, v))
+    return not any(reduce_against(R, v))
+
+
+def rows_in_span(R: FqMatrix, B: FqMatrix) -> bool:
+    """Whether every row of B lies in the row space of R (over GF(2), by B's packed rows)."""
+    R = rref(R)[0]
+    _check_width(R, B.ncols)
+    if R.field.q == 2:
+        mask, rows = R._pivot_rows
+        return not any(_reduce_gf2(x, mask, rows) for x in B.packed)
+    return all(in_span(R, r) for r in B.rows)
 
 
 def kernel(M: FqMatrix) -> FqMatrix:
@@ -227,21 +225,20 @@ def kernel(M: FqMatrix) -> FqMatrix:
     reduction: M is reduced with its columns reversed, so a pivot row
     vanishes left of its pivot.  Free column f's null vector, 1 at f and
     minus the pivot rows' entries at f on their pivots, is then zero left
-    of f and at every other free column: listed by f, already the rref."""
+    of f and at every other free column: listed by f, already the rref,
+    with the free columns as the pivots it records."""
     neg = M.field.tables()[2]
     n = M.ncols
     R, _, pivots = rref(_trusted(M.field, tuple(r[::-1] for r in M.rows), n))
-    pivot_set = set(pivots)
+    free = sorted(set(range(n)) - set(pivots), reverse=True)  # original order ascending
     basis = []
-    for fc in reversed(range(n)):  # reversed columns: original order ascending
-        if fc in pivot_set:
-            continue
+    for fc in free:
         v = [0] * n
         v[fc] = 1
         for row, pc in zip(R.rows, pivots):
             v[pc] = neg[row[fc]]
         basis.append(tuple(v[::-1]))
-    return _trusted(M.field, tuple(basis), n)
+    return _trusted(M.field, tuple(basis), n, _pivots=tuple(n - 1 - fc for fc in free))
 
 
 def transpose(M: FqMatrix) -> FqMatrix:

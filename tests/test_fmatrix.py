@@ -19,6 +19,7 @@ from stabforge.fmatrix import (
     matrix,
     rank,
     reduce_against,
+    rows_in_span,
     rref,
     transpose,
     zeros,
@@ -68,7 +69,7 @@ def test_rref_idempotent_and_canonical():
         for _ in range(20):
             M = random_matrix(field, rng.randrange(1, 5), rng.randrange(1, 7), rng)
             R, rk, piv = rref(M)
-            R2, rk2, piv2 = rref(R)
+            R2, rk2, piv2 = rref(matrix(field, R.rows, R.ncols))  # a fresh copy is reduced again
             assert R2.rows == R.rows and rk2 == rk and piv2 == piv
             assert list(piv) == sorted(piv)
             for row, c in zip(R.rows, piv):
@@ -107,8 +108,9 @@ def test_rank_nullity_random():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 256])
 def test_kernel_is_canonical_on_rank_deficient_matrices(q):
-    """kernel reduces once, so its rows must come out as their own rref,
-    orthogonal to every row of M and ncols - rank(M) of them."""
+    """kernel reduces once, so its rows must come out as the reference
+    rref of themselves, orthogonal to every row of M and ncols - rank(M)
+    of them."""
     field = field_of_order(q)
     rng = random.Random(q)
     for _ in range(25):
@@ -116,7 +118,7 @@ def test_kernel_is_canonical_on_rank_deficient_matrices(q):
         r = rng.randrange(1, ncols)  # rank at most r < ncols
         M = matmul(random_matrix(field, rng.randrange(r, r + 4), r, rng), random_matrix(field, r, ncols, rng))
         K = kernel(M)
-        assert K == rref(K)[0]
+        assert K == _rref_by_tables(K)[0]
         assert K.nrows == ncols - rank(M) > 0
         assert all(field.dot(row, v) == 0 for row in M.rows for v in K.rows)
 
@@ -126,10 +128,29 @@ PACKED_WIDTHS = (0, 1, 63, 64, 65, 130)
 
 
 def _rref_by_tables(M):
-    """`rref` through the add and mul tables, as for any q: the reference
-    for the packed GF(2) elimination."""
-    rows, pivots = fmatrix._rref_gfq(M.field, [list(r) for r in M.rows], M.ncols)
-    return FqMatrix(M.field, tuple(map(tuple, rows)), M.ncols), len(pivots), tuple(pivots)
+    """`rref` through the add and mul tables, row by row, as for any q: the
+    reference for the packed GF(2) and the column-by-column GF(q)
+    eliminations.  Each row, reduced by the basis so far, is scaled to
+    lead with 1 and clears its leading column from the earlier rows."""
+    add, mul, neg, inv = M.field.tables()
+    basis = {}  # leading column -> row, zero at every other leading column
+    for v in M.rows:
+        for c, row in basis.items():
+            if v[c]:
+                m = mul[neg[v[c]]]
+                v = [add[x][m[y]] for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        s = mul[inv[v[lead]]]
+        v = [s[x] for x in v]
+        for c, row in basis.items():
+            if row[lead]:
+                m = mul[neg[row[lead]]]
+                basis[c] = [add[x][m[y]] for x, y in zip(row, v)]
+        basis[lead] = v
+    pivots = tuple(sorted(basis))
+    return FqMatrix(M.field, tuple(tuple(basis[c]) for c in pivots), M.ncols), len(pivots), pivots
 
 
 @pytest.mark.parametrize("width", PACKED_WIDTHS)
@@ -179,17 +200,17 @@ def test_gf2_packed_membership_matches_the_table_reduction(width):
     rng = random.Random(width)
     for r in (0, 1, width // 3, width):
         A = linear_code(F2, [[int(rng.random() < 0.4) for _ in range(width)] for _ in range(r)], n=width)
-        R, piv = A.basis, A.pivots
+        R, _, piv = rref(A.basis)
         assert R.packed == tuple(map(fmatrix._pack, R.rows))  # kept from the elimination
         members = [tuple(sum(col) % 2 for col in zip((0,) * width, *rng.sample(R.rows, rng.randrange(R.nrows + 1))))
                    for _ in range(8)]
         others = [tuple(rng.randrange(2) for _ in range(width)) for _ in range(20)]
         for v in members + others:
             residue = _reduce_by_tables(R, piv, v)
-            assert reduce_against(R, piv, v) == residue
-            assert in_span(R, piv, v) == (not any(residue))
-        assert all(in_span(R, piv, v) for v in members)
-        assert A.k_dim == width or not all(in_span(R, piv, v) for v in others)
+            assert reduce_against(R, v) == residue
+            assert in_span(R, v) == (not any(residue))
+        assert all(in_span(R, v) for v in members)
+        assert A.k_dim == width or not all(in_span(R, v) for v in others)
         for k in (1, 2, 3):
             B = linear_code(F2, rng.sample(members + others, k), n=width)
             assert is_subcode(B, A) == (_rref_by_tables(matrix(F2, R.rows + B.basis.rows, width))[1] == A.k_dim)
@@ -202,8 +223,8 @@ RREF_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 256)
 
 @pytest.mark.parametrize("q", RREF_FIELDS)
 def test_rref_of_canonical_input_is_that_input(q):
-    """rref's output, a kernel and an identity are canonical: rref returns
-    each as it is, with the same pivots."""
+    """rref's output and a kernel record their pivots: rref returns each
+    as it is, with the same pivots.  An identity comes back equal."""
     field = field_of_order(q)
     rng = random.Random(q)
     for r, c in ((1, 1), (3, 7), (6, 4), (8, 16)):
@@ -236,11 +257,74 @@ def test_rref_reduces_near_canonical_input(q):
         near.append(((1, q - 1, 0), (0, 1, 0)))
     for rows in near:
         M = matrix(field, rows)
-        assert fmatrix._canonical_pivots(M) is None
         assert rref(M) == _rref_by_tables(M)
     for M in (matrix(field, [], 3), matrix(field, [(), ()], 0), matrix(field, [()], 0)):
         assert rref(M)[1:] == _rref_by_tables(M)[1:] == (0, ())
         assert rref(M)[0].rows == ()
+
+
+def _assert_rref_with(X, pivots):
+    """X is in rref with these pivots: each row leads with 1 at its pivot,
+    the pivots rise, and each pivot column is zero in every other row."""
+    assert len(pivots) == X.nrows and list(pivots) == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(X.rows, pivots)):
+        assert not any(row[:c]) and row[c] == 1
+        assert all(other[c] == 0 for j, other in enumerate(X.rows) if j != i)
+
+
+@pytest.mark.parametrize("q", RREF_FIELDS)
+def test_rref_and_kernel_results_record_their_pivots(q):
+    """Every matrix rref and kernel return is in rref with the pivots rref
+    reads back from it, and rref returns it as the same object: full-rank,
+    rank-deficient and zero inputs, so some kernels are empty or full."""
+    field = field_of_order(q)
+    rng = random.Random(q)
+    for r, c in ((1, 1), (2, 5), (4, 4), (6, 3), (5, 9), (8, 16)):
+        k = rng.randrange(1, min(r, c) + 1)
+        for M in (random_matrix(field, r, c, rng),
+                  matmul(random_matrix(field, r, k, rng), random_matrix(field, k, c, rng)),
+                  zeros(field, r, c)):
+            for X in (rref(M)[0], kernel(M)):
+                R, rk, piv = rref(X)
+                assert R is X and rk == X.nrows
+                _assert_rref_with(X, piv)
+
+
+@pytest.mark.parametrize("q", RREF_FIELDS)
+def test_rref_reduces_a_hand_built_canonical_matrix(q):
+    """A matrix that rref and kernel did not make is reduced even when it
+    is canonical: an identity, or a code's basis written out row by row,
+    comes back equal as a new matrix that records its pivots."""
+    field = field_of_order(q)
+    C = linear_code(field, random_matrix(field, 3, 6, random.Random(q)))
+    for M in (identity(field, 5), matrix(field, C.basis.rows, 6)):
+        R, rk, piv = rref(M)
+        assert R == M and R is not M and (rk, piv) == _rref_by_tables(M)[1:]
+        assert rref(R)[0] is R
+
+
+@pytest.mark.parametrize("q", RREF_FIELDS)
+def test_membership_reduces_a_basis_not_in_rref(q):
+    """in_span, reduce_against and rows_in_span on a matrix not in rref (a
+    zero row on top of a product's rows) answer as on its rref, for members
+    and non-members alike."""
+    field = field_of_order(q)
+    rng = random.Random(q)
+    for r, c in ((1, 3), (3, 7), (5, 6)):
+        M = matmul(random_matrix(field, r, r, rng), random_matrix(field, r, c, rng))
+        M = matrix(field, ((0,) * c,) + M.rows, c)
+        R, rk, piv = rref(M)
+        members = [matmul(random_matrix(field, 1, M.nrows, rng), M).rows[0] for _ in range(5)]
+        others = [random_matrix(field, 1, c, rng).rows[0] for _ in range(10)]
+        for v in members + others:
+            residue = _reduce_by_tables(R, piv, v)
+            assert reduce_against(M, v) == reduce_against(R, v) == residue
+            assert in_span(M, v) == in_span(R, v) == (not any(residue))
+        assert all(in_span(M, v) for v in members)
+        for B in (matrix(field, members, c), matrix(field, members + others[:1], c)):
+            spanned = _rref_by_tables(matrix(field, R.rows + B.rows, c))[1] == rk
+            assert rows_in_span(M, B) == rows_in_span(R, B) == spanned
+        assert rows_in_span(M, matrix(field, members, c))
 
 
 def test_hand_built_matrix_is_checked_where_it_is_made():
@@ -254,7 +338,7 @@ def test_hand_built_matrix_is_checked_where_it_is_made():
         symplectic_code(F2, FqMatrix(F2, ((0, 1, 2, 0),), 4))
     M = FqMatrix(F4, ((0, 1), (1, 0)), 2)
     C = linear_code(F4, M)
-    assert C.basis.rows == ((1, 0), (0, 1)) and C.pivots == (0, 1)
+    assert C.basis.rows == ((1, 0), (0, 1)) and rref(C.basis)[2] == (0, 1)
 
 
 def test_dimension_mismatch():
@@ -268,12 +352,14 @@ def test_dimension_mismatch():
         is_subcode(linear_code(F2, [(1, 0)]), linear_code(F2, [(1, 0, 0)]))
     # packed, (0, 1, 0, 0) would carry the bit of row (1, 0, 0)'s pivot
     for field in (F2, F4):
-        R, _, piv = rref(matrix(field, [(1, 0, 0)]))
+        R = rref(matrix(field, [(1, 0, 0)]))[0]
+        with pytest.raises(DimensionMismatch, match="length 2 against a basis of 3 columns"):
+            rows_in_span(R, matrix(field, [(1, 0)]))
         for v in ((0, 1, 0, 0), (1, 0)):
             with pytest.raises(DimensionMismatch, match=f"length {len(v)} against a basis of 3 columns"):
-                in_span(R, piv, v)
+                in_span(R, v)
             with pytest.raises(DimensionMismatch, match=f"length {len(v)} against"):
-                reduce_against(R, piv, v)
+                reduce_against(R, v)
 
 
 def test_matrix_rejects_entry_above_field():
@@ -340,7 +426,7 @@ def golden_outputs(q):
             R, rk, piv = rref(M)
             out.append((R.rows, rk, piv, kernel(M).rows))
             for v in (random_matrix(field, 1, c, rng).rows[0], M.rows[-1]):
-                out.append((reduce_against(R, piv, v), in_span(R, piv, v)))
+                out.append((reduce_against(R, v), in_span(R, v)))
             out.append(matmul(M, random_matrix(field, c, max(1, c // 3), rng)).rows)
     return out
 
