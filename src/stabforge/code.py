@@ -19,14 +19,19 @@ Minimum weights come from one search over every field (`_search`).  It
 walks a code's span in numpy blocks of at most _BLOCK codewords.  Over
 GF(2) a word is a column of 64-bit limbs, each half (a and b, for quantum
 weight) packed on its own from the top bit down, so words add by XOR,
-weigh by popcount and compare as their symbols do; over other fields it
-is one uint8 per symbol.  The span is walked either whole or by layers
-t = 1, 2, ...: the rows are grouped by the qudit of their pivot, and
-layer t holds the messages nonzero on exactly t groups.
-Such a word touches at least t qudits (t positions for Hamming weight;
-ceil(t/2) and up over fields above 64 elements, whose qudit pairs are not
-grouped), so once layers 1..t-1 are finished that is a proven floor, and a
-lightest word found below it is the exact distance: the walk stops there.
+weigh by popcount and compare as their symbols do; a basis row's limbs
+are the bytes of its `fmatrix` int, so a GF(2) code stays packed from
+parsing to the walk.  Over other fields a word is one uint8 per symbol.
+The span is walked either whole or by layers t = 1, 2, ...: the rows are
+grouped by the qudit of their pivot, and layer t holds the messages
+nonzero on exactly t groups.  Such a word touches at least t qudits (t
+positions for Hamming weight; ceil(t/2) and up over fields above 64
+elements, whose qudit pairs are not grouped), so once layers 1..t-1 are
+finished that is a proven floor, and a lightest word found below it is
+the exact distance: the walk stops there.
+A layer whose floor ties the lightest word so far is skipped when fewer
+groups than its t hold a row at or after that word's leading row: each of
+its words then uses an earlier row, and sorts after the word.
 A span beyond the budget walks layers while they fit and otherwise returns
 the floor as a lower bound; a larger span within it walks layers while
 they add up to at most 1/_LAYERED_COST of the span, and then walks whole.
@@ -41,8 +46,10 @@ from __future__ import annotations
 
 import codecs
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -86,27 +93,18 @@ _popcount = getattr(np, "bitwise_count", _swar_popcount)
 
 
 @lru_cache(maxsize=64)
-def _limb_layout(widths: tuple[int, ...]):
-    """How `_search` packs GF(2) words of halves `widths` into uint64 limbs.
+def _limb_layout(widths: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
+    """How `_search` spells GF(2) words of halves `widths` held in uint64 limbs.
 
     Each half starts a limb of its own, and its columns fill limbs in
     `fmatrix`'s bit order, column 0 the top bit: column c is bit
     63 - c % 64 of limb c // 64.  So limbs compared in order compare the
     symbols in order: the zero padding at the end of a half's last limb is
-    the same in every word.  Returns (Q, spell): `rows @ Q`, reshaped to
-    (rows, limbs, 2), holds 0 and each 0/1 row packed, and
-    format(limb >> shift, spec) spells a limb's columns for each
-    (shift, spec) in `spell`."""
-    limb, bit, spell = [], [], []
-    for w in widths:
-        c = np.arange(w)
-        limb.append(len(spell) + c // 64)
-        bit.append(63 - c % 64)
-        spell += [(64 - b, f"0{b}b") for b in (min(64, w - s) for s in range(0, w, 64))]
-    Q = np.zeros((sum(widths), len(spell), 2), dtype=np.uint64)
-    Q[np.arange(sum(widths)), np.concatenate(limb), 1] = np.uint64(1) << np.concatenate(bit).astype(np.uint64)
-    Q.flags.writeable = False  # shared by every caller through the cache
-    return Q.reshape(sum(widths), -1), tuple(spell)
+    the same in every word.  `_search` makes the limbs from `fmatrix`'s
+    packed ints, each half shifted up to its last limb's end; this returns
+    `spell`, one (shift, spec) per limb, and format(limb >> shift, spec)
+    spells that limb's columns."""
+    return tuple((64 - b, f"0{b}b") for w in widths for b in (min(64, w - s) for s in range(0, w, 64)))
 
 
 EXACT = "exact"
@@ -247,9 +245,7 @@ class LinearCode:
         self.linearity = linearity
         base, width = (field, n) if linearity == LINEAR else (quad_ext(field).sub, 2 * n)
         # a matrix over the base field was checked where it was made
-        if not (isinstance(rows, FqMatrix) and rows.field is base and rows.ncols == width):
-            rows = fmatrix.matrix(base, rows, width)
-        self.basis, self.k_dim, _ = fmatrix.rref(rows)
+        self.basis, self.k_dim, _ = fmatrix.rref(fmatrix.matrix(base, rows, width))
 
     @property
     def gen(self) -> FqMatrix:
@@ -340,8 +336,11 @@ class SymplecticCode(LinearCode):
         return f"SymplecticCode(GF({self.field.q}), n={self.half}, dim={self.k_dim})"
 
 
-def _rows_and_length(rows, n: int | None) -> tuple[list, int]:
-    """The rows as a list, and n, or the length of the first row if n is None."""
+def _rows_and_length(rows, n: int | None) -> tuple[list | FqMatrix, int]:
+    """The rows, as a list unless they are an `FqMatrix`, and n, or the
+    length of a row if n is None."""
+    if isinstance(rows, FqMatrix):
+        return rows, rows.ncols if n is None else n
     rows = list(rows)
     if n is None:
         if not rows:
@@ -442,25 +441,33 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
             raise StabforgeError("symplectic dual applies to F_q^{2n} codes")
         if C.n % 2:
             raise OddLength(f"symplectic dual needs even length, got {C.n}")
-        half, base, rows = C.n // 2, f, C.basis.rows
+        half, base, B = C.n // 2, f, C.basis
         P = [[symplectic_pair(f, x, y) for y in units] for x in units]
     else:
         if f.m % 2:
             raise WrongFieldOrder(f"{ip} dual needs square order, got GF({f.q})")
         ext = quad_ext(f)
-        half, base, rows = C.n, ext.sub, as_additive(C).basis.rows
+        half, base, B = C.n, ext.sub, as_additive(C).basis
         pair = trace_hermitian_pair if ip == "trace_hermitian" else trace_alternating_pair
         P = [[pair(f, ext.phi(x), ext.phi(y)) for y in units] for x in units]
     (p_aa, p_ab), (p_ba, p_bb) = P
-    add, mul = base.tables()[:2]
-    constraint = []
-    for r in rows:
-        a, b = r[:half], r[half:]
-        constraint.append(
-            tuple(add[mul[x][p_aa]][mul[y][p_ba]] for x, y in zip(a, b))
-            + tuple(add[mul[x][p_ab]][mul[y][p_bb]] for x, y in zip(a, b))
-        )
-    K = fmatrix.kernel(FqMatrix(base, tuple(constraint), 2 * half))
+    if base.q == 2:
+        # packed halves a and b of each row give (a p_aa + b p_ba | a p_ab + b p_bb),
+        # (b | a) for the symplectic form
+        low = (1 << half) - 1
+        halves = ((v >> half, v & low) for v in B.packed)
+        constraint = [(a * p_aa ^ b * p_ba) << half | a * p_ab ^ b * p_bb for a, b in halves]
+        K = fmatrix.kernel(fmatrix.from_packed(base, constraint, 2 * half))
+    else:
+        add, mul = base.tables()[:2]
+        constraint = []
+        for r in B.rows:
+            a, b = r[:half], r[half:]
+            constraint.append(
+                tuple(add[mul[x][p_aa]][mul[y][p_ba]] for x, y in zip(a, b))
+                + tuple(add[mul[x][p_ab]][mul[y][p_bb]] for x, y in zip(a, b))
+            )
+        K = fmatrix.kernel(FqMatrix(base, tuple(constraint), 2 * half))
     if ip == "symplectic":
         return SymplecticCode(f, C.n, K)
     return LinearCode(f, half, K, ADDITIVE)
@@ -510,11 +517,13 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     column is uint64 limbs (`_limb_layout`): each half, a and b for
     quantum weight or the whole word for Hamming weight, is packed on its
     own in `fmatrix`'s bit order, its column 0 the top bit of its first
-    limb.  Words add by XOR, and a word's weight is the popcount of
-    W[:split] | W[split:] (of W, for Hamming weight) summed over its limbs.
-    A half's padding bits are zero in every word, so the limbs, compared
-    in order, compare the symbols in order: a packed key sorts as the
-    symbol tuple does.
+    limb.  A basis row's limbs come from its packed int in `basis.packed`:
+    each half is shifted to end its last limb, and the bytes of all rows
+    are read as big-endian uint64 at once.  Words add by XOR, and a
+    word's weight is the popcount of W[:split] | W[split:] (of W, for
+    Hamming weight) summed over its limbs.  A half's padding bits are
+    zero in every word, so the limbs, compared in order, compare the
+    symbols in order: a packed key sorts as the symbol tuple does.
     Over any other field the column is one uint8 per symbol, added by XOR
     in characteristic 2 and through the add table otherwise.  A block is
     a run of prefix words, each added to every word of a table.  The
@@ -522,10 +531,11 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     stream over every message of the others.
 
     The layered walk groups the rows by the qudit of their pivot column
-    (by the pivot column itself for plain Hamming weight), so a group has
-    one or two rows.  The other rows vanish on a group's pivot columns,
-    which read the group's coefficients, so a message nonzero on t groups
-    touches at least t qudits.  Only when a pair's q^2 - 1 words would
+    (by the pivot column itself for plain Hamming weight), read from the
+    pivots `fmatrix.rref` records, so a group has one or two rows.  The
+    other rows vanish on a group's pivot columns, which read the group's
+    coefficients, so a message nonzero on t groups touches at least t
+    qudits.  Only when a pair's q^2 - 1 words would
     exceed a block (q > 64) is every row its own group: a qudit may then
     hold two, and the bound drops to max(ceil(t/2), t - such qudits).
     Layer t holds the messages nonzero on exactly t groups,
@@ -536,7 +546,19 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     whose last group lies before c.  Once layers 1, ..., t - 1 are
     finished every unvisited word weighs at least that bound, the floor:
     a lightest word found below it is the exact distance, and no
-    unvisited word can tie it.
+    unvisited word can tie it.  Layers are counted only up to the first t
+    with C(g, t) beyond what the layers may take, as layer t holds at
+    least C(g, t) words.
+
+    A layer t whose floor equals the best weight so far can only change
+    the witness, to a word of that weight with a smaller key.  The key's
+    first nonzero column is the pivot of the best word's leading row; a
+    word that uses a row before it is nonzero at that row's pivot, where
+    the best word is still zero, so its key is larger.  So if fewer than t
+    groups hold a row at or after the leading row, every word of layer t
+    uses an earlier row, and the layer is skipped.  It is counted in
+    `visited` as if walked, so `visited` and every budget decision stay
+    what the full layer gives.
 
     The walk is chosen from counts alone.  A span beyond the budget walks
     layers while they fit it, and stops early once proven; its result is
@@ -563,15 +585,24 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     field, gen, quantum_half, to_public = _weight_domain(C, wfn)
     q = field.q
     add_t, mul_t = field.np_tables()
-    rows = np.array(gen.rows, dtype=np.uint8)
-    k, n = rows.shape
+    basis, k, pivots = fmatrix.rref(gen)
+    n = basis.ncols
     width, split = quantum_half or n, quantum_half  # a word's halves are W[:split], W[split:]
     if q == 2:
-        # a limb's nonzero symbols are its set bits
-        Q, spell = _limb_layout((width, width) if quantum_half else (width,))
-        mults = (rows @ Q).reshape(k, -1, 2).transpose(1, 0, 2)
+        # each half of a packed row, shifted to end its last limb, is read as
+        # big-endian limbs; a limb's nonzero symbols are its set bits
+        spell = _limb_layout((width, width) if quantum_half else (width,))
+        per_half = -(-width // 64)
+        pad, low = 64 * per_half - width, (1 << width) - 1
+        ints = basis.packed
+        if quantum_half:  # the b half starts a limb of its own
+            ints = [v >> width << 64 * per_half | v & low for v in ints]
+        data = b"".join((v << pad).to_bytes(8 * len(spell), "big") for v in ints)
+        limbs = np.frombuffer(data, ">u8").reshape(k, -1)
+        mults = np.zeros((len(spell), k, 2), dtype=np.uint64)
+        mults[:, :, 1] = limbs.T
         if quantum_half:
-            split = len(spell) // 2
+            split = per_half
         ones = _popcount
 
         def unpack(key):
@@ -580,6 +611,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
             return tuple(bits.encode().translate(fmatrix._BIT_BYTES))
 
     else:
+        rows = np.frombuffer(bytes(chain.from_iterable(basis.rows)), dtype=np.uint8).reshape(k, n)
         mults = mul_t[rows.T]
         # a uint8 symbol's sign is 1 when it is nonzero; a key is its symbols
         ones, unpack = np.sign, tuple
@@ -646,28 +678,32 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
 
     # rows grouped by the qudit of their pivot, if a pair's q^2 - 1 words fit
     # a block; sym[j] holds group j's nonzero words
-    qudit = (rows != 0).argmax(axis=1)
-    if quantum_half:
-        qudit %= quantum_half
+    qudit = [c % quantum_half for c in pivots] if quantum_half else pivots
     paired = q * q - 1 <= _BLOCK
     by_group: dict[int, list[int]] = {}
-    for i, c in enumerate(qudit.tolist()):
+    for i, c in enumerate(qudit):
         by_group.setdefault(c if paired else i, []).append(i)
+    groups = list(by_group.values())
     sym = []
-    for idx in by_group.values():
+    for idx in groups:
         W = mults[:, idx[0], :]
         for i in idx[1:]:
             W = plus(W[:, :, None], mults[:, i, None, :]).reshape(height, -1)
         sym.append(W[:, 1:])  # word 0 is the zero word
     g = len(sym)
     size = np.array([z.shape[1] for z in sym])
-    layers = [1] + [0] * g  # layers[t] = e_t(size): the messages on exactly t groups
+    # words the layers may take: the budget, or a share of a span within it
+    cap = budget if total > budget else total // _LAYERED_COST
+    # layers[t] = e_t(size), the messages on exactly t groups, for t up to the
+    # first depth with C(g, t) > cap: layers[t] >= C(g, t), so the walk stops there
+    depth = next((t for t in range(1, g + 1) if math.comb(g, t) > cap), g)
+    layers = [1] + [0] * depth
     for j, z in enumerate(size.tolist()):
-        for t in range(j + 1, 0, -1):
+        for t in range(min(j + 1, depth), 0, -1):
             layers[t] += z * layers[t - 1]
     # a message on t groups touches >= floors[t] qudits: t, less the qudits
     # holding two single-row groups, and at least ceil(t/2)
-    shared = g - len(set(qudit.tolist()))
+    shared = g - len(set(qudit))
     floors = [max(-(-t // 2), t - shared) for t in range(g + 2)]
 
     # tables[j]: the words on j groups ordered by last group, with their
@@ -699,19 +735,27 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
             rest = (W for e in range(c + 1, g) for W in high(r - 1, e))
         return blocks(rest, sym[c])
 
-    # words the layers may take: the budget, or a share of a span within it
-    cap = budget if total > budget else total // _LAYERED_COST
+    def decided(t):
+        """Whether layer t holds no word that can replace the best one: it
+        ties the floor, and fewer than t groups hold a row at or after the
+        best word's leading row, whose pivot is its first nonzero column."""
+        if best_w != floors[t]:
+            return False
+        lead = pivots.index(next(c for c, x in enumerate(unpack(best_v)) if x))
+        return sum(idx[-1] >= lead for idx in groups) < t
+
     stop = n + 2 if target is None else target  # no floor exceeds g + 1 <= n + 1
     visited, t = 0, 1
     while t <= g and best_w >= floors[t] and floors[t] < stop and visited + layers[t] <= cap:
-        while len(tables) <= t and layers[len(tables)] <= _BLOCK:
-            grow()
-        s = len(tables) - 1  # low groups from a table, the r high ones streamed
-        T, _, last = tables[s]
-        r = t - s
-        for c in range(s, g - r + 1) if r else (g,):
-            for W in blocks(high(r, c), T[:, : np.searchsorted(last, c)]):
-                consider(W)
+        if not decided(t):
+            while len(tables) <= t and layers[len(tables)] <= _BLOCK:
+                grow()
+            s = len(tables) - 1  # low groups from a table, the r high ones streamed
+            T, _, last = tables[s]
+            r = t - s
+            for c in range(s, g - r + 1) if r else (g,):
+                for W in blocks(high(r, c), T[:, : np.searchsorted(last, c)]):
+                    consider(W)
         visited += layers[t]
         t += 1
     if best_w < floors[t] or t > g:
@@ -795,8 +839,10 @@ def dump_code(C: LinearCode) -> str:
         # gamma is pinned by the fixed modulus; recorded for reproducibility
         lines.append(f"# gamma residue {quad_ext(C.field).gamma}")
     lines.append("rows")
-    for r in C.gen.rows:
-        lines.append(" ".join(map(str, r)))
+    if C.field.q == 2:  # a GF(2) code is linear, and its rows are spelled from their ints
+        lines += [" ".join(format(v, f"0{C.n}b")) for v in C.basis.packed]
+    else:
+        lines += [" ".join(map(str, r)) for r in C.gen.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -854,7 +900,8 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
             raise CodeFileError(f"{name}:{lineno}: row {i} has {len(r)} entries, expected {expected}")
         if min(r) < 0 or max(r) >= field.q:
             raise CodeFileError(f"{name}:{lineno}: row {i} has entries outside [0, {field.q})")
-    rows = [r for _, r in numbered_rows]
+    # the rows were checked above; FqMatrix checks them once more, as it is made
+    rows = FqMatrix(field, tuple(r for _, r in numbered_rows), expected)
     if kind == SYMPLECTIC:
         return symplectic_code(field, rows, half=length)
     if kind == ADDITIVE:

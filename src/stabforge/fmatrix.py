@@ -12,7 +12,10 @@ the minimum-weight walk in `code` and the dense oracle in `statevec` read
 the same order.  It also owns a GF(2) matrix's packed rows, `packed`:
 `rref` keeps the ints of its elimination on the matrix it returns, and any
 other matrix packs its rows once, on first use.  Membership XORs those
-ints, one basis row per pivot bit the word sets.
+ints, one basis row per pivot bit the word sets.  A GF(2) kernel is built
+on R = rref(M)'s packed rows: free column f's null vector is bit f plus
+the pivot bit of each row of R that sets bit f, and the vectors are
+reduced as ints.  `from_packed` makes a GF(2) matrix from such ints.
 Other fields read rows of the field's add and mul tables, so scaling a row
 or subtracting a multiple of one is one list comprehension of lookups.
 Sizes here are small; the heavy enumeration loops live in `code`.
@@ -76,6 +79,10 @@ def _trusted(field: Field, rows: tuple, ncols: int, **known) -> FqMatrix:
 
 
 def matrix(field: Field, rows, ncols: int | None = None) -> FqMatrix:
+    """The rows as an `FqMatrix` over `field`; one already over `field`, and
+    `ncols` wide if that is given, is returned as it is."""
+    if isinstance(rows, FqMatrix) and rows.field is field and ncols in (None, rows.ncols):
+        return rows
     rows = tuple(tuple(map(int, r)) for r in rows)
     if ncols is None:
         if not rows:
@@ -95,6 +102,16 @@ def zeros(field: Field, r: int, c: int) -> FqMatrix:
 # the bytes 0 and 1 to the characters "0" and "1", and back
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def from_packed(field: Field, packed, ncols: int) -> FqMatrix:
+    """The GF(2) matrix of rows packed as ints in `_pack`'s order."""
+    packed = tuple(packed)
+    if field.q != 2:
+        raise BadRange(f"packed rows are GF(2) rows, not GF({field.q}) rows")
+    if packed and (min(packed) < 0 or max(packed) >> ncols):
+        raise BadRange(f"a packed row is not a row of {ncols} bits")
+    return _trusted(field, tuple(_unpack(v, ncols) for v in packed), ncols, packed=packed)
 
 
 def _pack(row) -> int:
@@ -221,14 +238,24 @@ def rows_in_span(R: FqMatrix, B: FqMatrix) -> bool:
 
 
 def kernel(M: FqMatrix) -> FqMatrix:
-    """Basis rows of the right null space, in canonical rref, from one
-    reduction: M is reduced with its columns reversed, so a pivot row
-    vanishes left of its pivot.  Free column f's null vector, 1 at f and
-    minus the pivot rows' entries at f on their pivots, is then zero left
-    of f and at every other free column: listed by f, already the rref,
-    with the free columns as the pivots it records."""
-    neg = M.field.tables()[2]
+    """Basis rows of the right null space, in canonical rref, with the
+    pivots it records.
+
+    Over GF(2) it reads the packed rows of R = rref(M): the null vector of
+    free column f is bit f plus the pivot bit of each row of R that sets
+    bit f, and `_rref_gf2` reduces those vectors.  Over other fields M is
+    reduced with its columns reversed, so a pivot row vanishes left of its
+    pivot.  Free column f's null vector, 1 at f and minus the pivot rows'
+    entries at f on their pivots, is then zero left of f and at every other
+    free column: listed by f, already the rref, with the free columns as
+    its pivots."""
     n = M.ncols
+    if M.field.q == 2:
+        pivot_mask, rows = rref(M)[0]._pivot_rows
+        free = [f for f in (1 << c for c in range(n)) if not f & pivot_mask]
+        packed, pivots = _rref_gf2(tuple(f | sum(b for b, r in rows.items() if r & f) for f in free), n)
+        return _trusted(M.field, tuple(_unpack(v, n) for v in packed), n, _pivots=pivots, packed=packed)
+    neg = M.field.tables()[2]
     R, _, pivots = rref(_trusted(M.field, tuple(r[::-1] for r in M.rows), n))
     free = sorted(set(range(n)) - set(pivots), reverse=True)  # original order ascending
     basis = []

@@ -145,7 +145,8 @@ def _purity(wfn: str, budget: int, *pairs: tuple[DistanceResult, LinearCode]) ->
 
     Each distinct nonzero (S, d) is walked once, in argument order, by
     `min_weight` with target d, so the walk stops once its floor reaches d;
-    a zero S sets no condition.  The verdict is sound under any budget,
+    a zero S sets no condition, and d = 1 needs no walk, as no nonzero word
+    is lighter than 1.  The verdict is sound under any budget,
     since neither value exceeds the true one, and a floor at or above d
     rules out every lighter word as the exact minimum would, so it is the
     verdict the full walk gives."""
@@ -153,7 +154,9 @@ def _purity(wfn: str, budget: int, *pairs: tuple[DistanceResult, LinearCode]) ->
     for d, S in pairs:
         if S.k_dim:
             if (S, d.value) not in walks:
-                walks[S, d.value] = min_weight(S, wfn, budget, target=d.value)
+                # no nonzero word is lighter than 1, so d = 1 needs no walk
+                walks[S, d.value] = (DistanceResult(1, LOWER_BOUND) if d.value <= 1
+                                     else min_weight(S, wfn, budget, target=d.value))
             mins.append((d, walks[S, d.value]))
     if any(s.is_exact and s.value < d.value for d, s in mins):
         return IMPURE

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -56,6 +57,9 @@ from stabforge.errors import (
     ZeroCode,
 )
 from stabforge.gf import field_make, field_of_order
+
+from conftest import reed_muller_rows
+from test_fmatrix import PACKED_WIDTHS, _kernel_by_tables, _packed_cases
 
 
 def all_codewords(C):
@@ -293,6 +297,48 @@ def _reference_dual(C, ip):
     return additive_code(f, [ext.phi(r) for r in K.rows], n)
 
 
+def _constraint_dual(C, ip):
+    """The symplectic and trace duals by the per-entry constraint path, as
+    for any base field: each basis row (a|b) gives the constraint
+    (a p_aa + b p_ba | a p_ab + b p_bb) through the add and mul tables, for
+    P the pairing's 2 x 2 matrix at one qudit, and the dual is the table
+    kernel of the constraints."""
+    f, units = C.field, ((1, 0), (0, 1))
+    if ip == "symplectic":
+        half, base, rows = C.n // 2, f, C.basis.rows
+        P = [[symplectic_pair(f, x, y) for y in units] for x in units]
+    else:
+        ext = quad_ext(f)
+        half, base, rows = C.n, ext.sub, as_additive(C).basis.rows
+        pair = trace_hermitian_pair if ip == "trace_hermitian" else trace_alternating_pair
+        P = [[pair(f, ext.phi(x), ext.phi(y)) for y in units] for x in units]
+    (p_aa, p_ab), (p_ba, p_bb) = P
+    add, mul = base.tables()[:2]
+    constraint = [tuple(add[mul[x][p_aa]][mul[y][p_ba]] for x, y in zip(r[:half], r[half:]))
+                  + tuple(add[mul[x][p_ab]][mul[y][p_bb]] for x, y in zip(r[:half], r[half:])) for r in rows]
+    return _kernel_by_tables(fmatrix.matrix(base, constraint, 2 * half))[0]
+
+
+@pytest.mark.parametrize("half", PACKED_WIDTHS)
+def test_pairing_duals_over_gf2_match_the_constraint_path(half):
+    """Over GF(2) the symplectic dual, and the trace duals of additive codes
+    over GF(4), build their constraints from the packed halves of each
+    basis row; they must give the per-entry path's duals, on codes with no
+    rows, a zero row, full rank and rank deficient.  Symplectic codes over
+    GF(4), whose constraints take the per-entry path, are checked too."""
+    rng = random.Random(half)
+    f2, f4 = field_of_order(2), field_of_order(4)
+    for M in _packed_cases(f2, 2 * half, rng):
+        S = symplectic_code(f2, M, half=half)
+        A = phi_code(S)
+        for C, ip in ((S, "symplectic"), (A, "trace_hermitian"), (A, "trace_alternating")):
+            assert dual(C, ip).basis.rows == _constraint_dual(C, ip).rows, (half, ip, C)
+    if half <= 65:
+        for M in _packed_cases(f4, 2 * half, rng):
+            S = symplectic_code(f4, M, half=half)
+            assert dual(S, "symplectic").basis.rows == _constraint_dual(S, "symplectic").rows, (half, S)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81])
 def test_dual_matches_unit_vector_reference(q):
     f = field_of_order(q)
@@ -451,6 +497,73 @@ def test_additive_code_digest_and_identity(q):
         A = additive_code(f, rows + [[f.mul(gamma, x) for x in r] for r in rows], n)
         assert as_additive(L) == A and hash(as_additive(L)) == hash(A)
         assert L != A
+
+
+# sha256 of every dump_code text, and each code_digest, of the GF(2) linear
+# codes of length w and symplectic codes of w qubits that `_gf2_dump_cases(w)`
+# makes; pinned when dump_code still joined one str per entry
+_GF2_DUMPS = {
+    0: ("832162b7effbad9f8508436d177d04526383da0671fca78d2aac407c2adb48da",
+        ["5bf0983c"] * 4 + ["b851097b"] * 4),
+    1: ("2e076096f37fb76eabcf26d16ffd00ca1e53f1ceb8658586e4c793b0baa7631a",
+        ["13fd591c", "13fd591c", "68544beb", "13fd591c", "055caede", "055caede", "52f94679", "5319d575"]),
+    63: ("c2a343152e93bc3ec08397fbf80c5bad46a0fd6e8ee3e9f37b7eb1d39024bc3e",
+         ["2ea7b070", "2ea7b070", "26f98679", "275f21b7", "ab8514b6", "ab8514b6", "c2b5d89e", "dbbbf64b"]),
+    64: ("d5a0634c3706c17293185fc1072af76b0208d35f112e41179875368b08d1a830",
+         ["9e396c32", "9e396c32", "23bfd926", "eab9a7b6", "810aa7c7", "810aa7c7", "b3fec121", "23c15053"]),
+    65: ("1ef788b70b206e750eb29685a02d47d526d03f6f1e9840fb5881789afeaf74cf",
+         ["11323220", "11323220", "94c08a78", "5880e41d", "a90a8b8e", "a90a8b8e", "2bc25927", "af64bdcb"]),
+    130: ("b6c0534997a41b6220c75389dbca92469284a98048b70b0fbd31193c718c06c0",
+          ["e2364cfc", "e2364cfc", "952731f2", "c64e1558", "0a0877fe", "0a0877fe", "379bd0e6", "54d007d8"]),
+}
+
+
+def _gf2_row_sets(width, rng):
+    """Rows of `width` columns: none, a zero row, full rank and rank deficient."""
+    full = [[int(j == i or (j > i and rng.random() < 0.3)) for j in range(width)] for i in range(width)]
+    rng.shuffle(full)
+    k = max(1, width // 3)
+    left = [[rng.randrange(2) for _ in range(k)] for _ in range(k + 3)]
+    right = [[int(rng.random() < 0.4) for _ in range(width)] for _ in range(k)]
+    deficient = [[sum(a * b for a, b in zip(row, col)) % 2 for col in zip(*right)] if width else [] for row in left]
+    return [[], [[0] * width], full, deficient]
+
+
+def _gf2_dump_cases(width):
+    rng = random.Random(width)
+    f2 = field_of_order(2)
+    return ([linear_code(f2, rows, n=width) for rows in _gf2_row_sets(width, rng)]
+            + [symplectic_code(f2, rows, half=width) for rows in _gf2_row_sets(2 * width, rng)])
+
+
+@pytest.mark.parametrize("width", sorted(_GF2_DUMPS))
+def test_gf2_dump_spells_the_packed_rows_byte_for_byte(width):
+    """dump_code spells a GF(2) code's rows from their ints; its text and
+    code_digest stay what one str per entry gave, and parse_code reads the
+    text back to the same code, basis, packed rows and digest included."""
+    cases = _gf2_dump_cases(width)
+    text = "".join(dump_code(C) for C in cases)
+    assert (hashlib.sha256(text.encode()).hexdigest(), [code_digest(C) for C in cases]) == _GF2_DUMPS[width]
+    for C in cases:
+        assert dump_code(C).splitlines()[4:] == [" ".join(map(str, r)) for r in C.basis.rows]
+        if width:
+            P = parse_code(dump_code(C))
+            assert P == C and P.basis.packed == C.basis.packed and code_digest(P) == code_digest(C)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_parsed_gf2_code_equals_the_code_of_its_rows(width):
+    """A GF(2) file parses to the code linear_code or symplectic_code makes
+    of the same rows: the same class, basis, packed rows and digest."""
+    rng = random.Random(width)
+    f2 = field_of_order(2)
+    for kind, make, cols in (("linear", linear_code, width), ("symplectic", symplectic_code, 2 * width)):
+        for rows in _gf2_row_sets(cols, rng):
+            body = "".join(" ".join(map(str, r)) + "\n" for r in rows)
+            got = parse_code(f"field GF(2)\nlength {width}\nkind {kind}\nrows\n{body}")
+            built = make(f2, rows, width)
+            assert type(got) is type(built) and got.basis == built.basis
+            assert got.basis.packed == built.basis.packed and code_digest(got) == code_digest(built)
 
 
 # -- minimum weights -----------------------------------------------------------
@@ -898,6 +1011,42 @@ def test_search_matches_brute_force_across_blocks():
     P = symplectic_code(f256, [(1, 7, 9, 3), (0, 0, 1, 5)])
     for budget in (256**2 - 1, 256**2 - 2, 600):
         _check_against_brute_force(P, "quantum", budget)
+
+
+def test_search_matches_brute_force_where_a_tie_layer_is_decided(monkeypatch):
+    """Layer t ties when the best word so far weighs floors[t].  If fewer
+    than t groups hold a row at or after that word's leading row, the layer
+    is skipped and counted as walked: each of its words weighs at least the
+    best, and uses a row before the leading one, so it is nonzero where the
+    best word is still zero and its key is larger.  Value, status, witness
+    and visited must match the model, which walks every layer.  These reach
+    a tie layer that is skipped: Hamming [7,4] minus its dual at budget 14,
+    RM(2,4) minus RM(1,4) at 2^10 - 1 and 2^11 - 2, and Steane's code (its
+    symplectic dual minus the stabilizer) at 254.  Hamming [15,11] minus
+    its dual reaches one that five groups hold, which is walked."""
+    f2 = field_of_order(2)
+    simplex = [tuple((j + 1) >> i & 1 for j in range(15)) for i in range(4)]
+    ham15 = dual(linear_code(f2, simplex), "euclidean")
+    ham7 = linear_code(f2, [(1, 0, 0, 0, 0, 1, 1), (0, 1, 0, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1)])
+    rm14, rm24 = (linear_code(f2, reed_muller_rows(r, 4)) for r in (1, 2))
+    steane = symplectic_code(f2, [r + (0,) * 7 for r in dual(ham7, "euclidean").basis.rows]
+                             + [(0,) * 7 + r for r in dual(ham7, "euclidean").basis.rows])
+    cases = [(ham7, dual(ham7, "euclidean"), "hamming", (14,)),
+             (rm24, rm14, "hamming", (1023, 2046)),
+             (ham15, dual(ham15, "euclidean"), "hamming", (255, 2046)),
+             (dual(steane, "symplectic"), steane, "quantum", (254,))]
+    for A, B, wfn, budgets in cases:
+        for budget in budgets:
+            _check_against_brute_force(A, wfn, budget, B)
+    # two qubit groups, rows {0, 2} and {1, 3}: after layer 1 both hold a row
+    # at or after the best word's leading row, so layer 2 is walked, and it
+    # holds rows 2 + 3, of the best weight and a smaller key: the witness
+    monkeypatch.setattr(code, "_SMALL_SPAN", 0)
+    monkeypatch.setattr(code, "_LAYERED_COST", 1)
+    P = symplectic_code(f2, [(1, 0, 1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0, 1),
+                             (0, 0, 0, 0, 1, 0, 1, 1), (0, 0, 0, 0, 0, 1, 1, 1)])
+    _check_against_brute_force(P, "quantum", 15)
+    assert min_weight(P, "quantum", 15).witness == (0, 0, 0, 0, 1, 1, 0, 0)
 
 
 def test_search_finds_planted_words_at_layer_edges(monkeypatch):

@@ -287,13 +287,15 @@ def test_css_aqc_purity_matches_classical_minima(q, ip):
 def test_purity_walks_stopped_at_the_distance_match_full_walks(monkeypatch, small_span):
     """`certify`, `css` and `aqc` on random codes over GF(2), GF(3) and
     GF(4), at full and partial budgets, give the same parameters, purity
-    included, whether the stabilizer-side walks stop at the distance or run
-    on, and a stopped walk's floor never exceeds the true minimum.  Spans
+    included, whether the stabilizer-side walks stop at the distance or
+    every stabilizer side is walked in full, and a stopped walk's floor
+    never exceeds the true minimum.  A condition with d = 1 is settled with
+    no walk, as no word is lighter than 1; it counts as a stop.  Spans
     within the budget walk whole unless small_span = 0 makes them try
-    layers, which lets most purity walks stop at the distance."""
+    layers, which lets more purity walks stop at the distance."""
     if small_span is not None:
         monkeypatch.setattr(code, "_SMALL_SPAN", small_span)
-    full_walk = stabilizer.min_weight
+    full_walk, purity = stabilizer.min_weight, stabilizer._purity
     stops = []
 
     def targeted(C, wfn="hamming", budget=DEFAULT_BUDGET, target=None):
@@ -303,13 +305,23 @@ def test_purity_walks_stopped_at_the_distance_match_full_walks(monkeypatch, smal
             stops.append(r.status == LOWER_BOUND and r.value >= target)
         return r
 
-    def untargeted(C, wfn="hamming", budget=DEFAULT_BUDGET, target=None):
-        return full_walk(C, wfn, budget)
+    def counted(wfn, budget, *pairs):
+        stops.extend(d.value == 1 for d, S in pairs if S.k_dim)
+        return purity(wfn, budget, *pairs)
+
+    def walked(wfn, budget, *pairs):
+        """`_purity`'s verdict from a full walk of every nonzero stabilizer side."""
+        mins = [(d, full_walk(S, wfn, budget)) for d, S in pairs if S.k_dim]
+        if any(s.is_exact and s.value < d.value for d, s in mins):
+            return IMPURE
+        return PURE if all(d.is_exact and s.value >= d.value for d, s in mins) else UNKNOWN
 
     def same_with_and_without_targets(run):
         monkeypatch.setattr(stabilizer, "min_weight", targeted)
+        monkeypatch.setattr(stabilizer, "_purity", counted)
         got = run()
-        monkeypatch.setattr(stabilizer, "min_weight", untargeted)
+        monkeypatch.setattr(stabilizer, "min_weight", full_walk)
+        monkeypatch.setattr(stabilizer, "_purity", walked)
         assert got == run()
 
     rng = random.Random(8008)

@@ -168,6 +168,77 @@ def test_gf2_rref_and_kernel_match_the_table_reduction(monkeypatch, width):
     assert got == [(_rref_by_tables(M), kernel(M).rows) for M in mats]
 
 
+def _kernel_by_tables(M):
+    """`kernel` from `_rref_by_tables`, as for any q: free column f's null
+    vector is 1 at f and minus each pivot row's entry at f on its pivot,
+    and the vectors are reduced again."""
+    neg = M.field.tables()[2]
+    R, _, pivots = _rref_by_tables(M)
+    null = []
+    for f in sorted(set(range(M.ncols)) - set(pivots)):
+        v = [0] * M.ncols
+        v[f] = 1
+        for row, p in zip(R.rows, pivots):
+            v[p] = neg[row[f]]
+        null.append(v)
+    return _rref_by_tables(matrix(M.field, null, M.ncols))
+
+
+def _packed_cases(field, width, rng):
+    """Matrices of `width` columns: no rows, a zero row, full rank (an
+    upper unitriangular matrix, shuffled) and rank deficient (a product
+    through width // 3 dimensions)."""
+    full = [[1 if j == i else rng.randrange(field.q) if j > i and rng.random() < 0.3 else 0
+             for j in range(width)] for i in range(width)]
+    rng.shuffle(full)
+    k = max(1, width // 3)
+    deficient = matmul(random_matrix(field, k + 3, k, rng), random_matrix(field, k, width, rng)) if width else None
+    return [matrix(field, [], width), matrix(field, [[0] * width], width), matrix(field, full, width),
+            deficient if width else matrix(field, [()], 0)]
+
+
+@pytest.mark.parametrize("width", PACKED_WIDTHS)
+def test_gf2_kernel_of_packed_rows_matches_the_table_kernel(width):
+    """The GF(2) kernel, built from R's packed rows and reduced by
+    `_rref_gf2`, gives the table kernel's rows and records their ints and
+    pivots, on matrices with no rows, a zero row, full rank and rank
+    deficient, alone and with their rows repeated."""
+    rng = random.Random(width)
+    for M in _packed_cases(F2, width, rng):
+        for X in (M, matrix(F2, M.rows * 2 + M.rows[:1], width)):
+            K = kernel(X)
+            ref, rk, piv = _kernel_by_tables(X)
+            assert K.rows == ref.rows and (K.nrows, K._pivots) == (rk, piv)
+            assert K.__dict__["packed"] == tuple(int("".join(map(str, r)) or "0", 2) for r in ref.rows)
+            assert rank(X) + K.nrows == width
+
+
+def test_from_packed_makes_the_matrix_of_its_ints():
+    """`from_packed` spells each int as a row, column 0 the top bit, and
+    refuses ints wider than the matrix and fields other than GF(2)."""
+    M = fmatrix.from_packed(F2, (0b101, 0b010, 0), 3)
+    assert M.rows == ((1, 0, 1), (0, 1, 0), (0, 0, 0)) and M.packed == (5, 2, 0)
+    assert rref(M)[0].rows == ((1, 0, 1), (0, 1, 0))
+    assert fmatrix.from_packed(F2, (), 0).rows == ()
+    for bad in ((0b1000,), (-1,)):
+        with pytest.raises(BadRange, match="not a row of 3 bits"):
+            fmatrix.from_packed(F2, bad, 3)
+    with pytest.raises(BadRange, match="GF\\(4\\)"):
+        fmatrix.from_packed(F4, (1,), 3)
+
+
+def test_matrix_passes_a_matrix_over_its_field_through():
+    """matrix() returns an FqMatrix over the same field, of the asked width
+    or with none asked, as it is; any other is converted and checked."""
+    M = FqMatrix(F2, ((1, 0, 1),), 3)
+    assert matrix(F2, M) is M and matrix(F2, M, 3) is M
+    assert matrix(F4, M, 3) == FqMatrix(F4, M.rows, 3)
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        matrix(F2, M, 4)
+    with pytest.raises(BadRange, match="entry 2"):
+        matrix(F2, FqMatrix(F4, ((2, 0),), 2))
+
+
 @pytest.mark.parametrize("width", PACKED_WIDTHS)
 def test_pack_round_trips_with_column_0_as_the_top_bit(width):
     rng = random.Random(width)

@@ -318,8 +318,9 @@ def test_purity_walks_each_domain_once(monkeypatch, f2, hamming74):
     assert calls == [("min_weight_diff", 22), ("min_weight", 10)]
 
     # no purity walk of a zero code: the trivial stabilizer, and C1^perp of
-    # C1 = F_2^7 beside the Hamming code (whose dual, the simplex code, has
-    # dimension 3)
+    # C1 = F_2^7 beside the Hamming code; and none for a distance of 1, as
+    # no word is lighter: the simplex code C2^perp (dimension 3) is paired
+    # with d = 1 under css and with wt(C1 minus C2^perp) = 1 under aqc
     calls.clear()
     assert certify_stabilizer(symplectic_code(f2, [], half=3)).params.pure == PURE
     assert calls == [("min_weight_diff", 6)]
@@ -327,7 +328,7 @@ def test_purity_walks_each_domain_once(monkeypatch, f2, hamming74):
     for construct in (css, css_aqc):
         calls.clear()
         construct(full, hamming74)
-        assert calls == [("min_weight_diff", 4), ("min_weight_diff", 7), ("min_weight", 3)]
+        assert calls == [("min_weight_diff", 4), ("min_weight_diff", 7)]
 
     # C1 != C2 with both duals nonzero: the even-weight code C1 = [7,6,2]
     # beside the Hamming code C2, so C1^perp is the repetition code
@@ -346,6 +347,39 @@ def test_purity_walks_each_domain_once(monkeypatch, f2, hamming74):
     aqc = css_aqc(even, hamming74)
     assert (aqc.dz.value, aqc.dx.value, aqc.pure) == (3, 2, PURE)
     assert calls == walks and targets == [None, None, 3, 2]
+
+
+def test_purity_of_a_distance_of_1_needs_no_walk(monkeypatch, f2, hamming74):
+    """No nonzero word is lighter than 1, so `_purity` walks no stabilizer
+    side paired with d = 1: an exact d = 1 is pure, and a lower bound of 1
+    leaves purity unknown, as full walks of every side decide.  A pair with
+    d >= 2 beside it is still walked, and decides as before."""
+    import stabforge.stabilizer as stabilizer
+
+    walked = []
+    full_walk = stabilizer.min_weight
+
+    def record(C, *args, **kw):
+        walked.append((C.k_dim, kw.get("target")))
+        return full_walk(C, *args, **kw)
+
+    monkeypatch.setattr(stabilizer, "min_weight", record)
+    simplex = dual(hamming74, "euclidean")
+    repetition = linear_code(f2, [(1,) * 7])
+    for status, verdict in ((EXACT, PURE), (LOWER_BOUND, UNKNOWN)):
+        d = DistanceResult(1, status)
+        walked.clear()
+        assert stabilizer._purity("hamming", 2**20, (d, simplex)) == verdict
+        assert stabilizer._purity("hamming", 4, (d, hamming74), (d, simplex)) == verdict
+        assert walked == []
+        full = min_weight(simplex)
+        assert full.is_exact and full.value >= d.value  # the walk it skips would not say impure
+        # a d = 4 pair with the simplex code (distance 4) is pure, with
+        # Hamming's weight-3 words impure, whatever the d = 1 pair beside it
+        four = DistanceResult(4, EXACT)
+        assert stabilizer._purity("hamming", 2**20, (d, hamming74), (four, simplex)) == verdict
+        assert stabilizer._purity("hamming", 2**20, (d, simplex), (four, hamming74)) == IMPURE
+        assert walked == [(3, 4), (4, 4)]
 
 
 def test_certify_walks_stop_once_the_distance_is_proven():
