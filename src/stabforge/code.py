@@ -21,7 +21,8 @@ GF(2) a word is a column of 64-bit limbs, each half (a and b, for quantum
 weight) packed on its own from the top bit down, so words add by XOR,
 weigh by popcount and compare as their symbols do; a basis row's limbs
 are the bytes of its `fmatrix` int, so a GF(2) code stays packed from
-parsing to the walk.  Over other fields a word is one uint8 per symbol.
+parsing to the walk, and a word's limbs map back to such an int, which
+`fmatrix` spells.  Over other fields a word is one uint8 per symbol.
 The span is walked either whole or by layers t = 1, 2, ...: the rows are
 grouped by the qudit of their pivot, and layer t holds the messages
 nonzero on exactly t groups.  Such a word touches at least t qudits (t
@@ -90,21 +91,6 @@ def _swar_popcount(x):
 
 # numpy >= 2 counts bits natively; the SWAR fallback runs on numpy 1.x
 _popcount = getattr(np, "bitwise_count", _swar_popcount)
-
-
-@lru_cache(maxsize=64)
-def _limb_layout(widths: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
-    """How `_search` spells GF(2) words of halves `widths` held in uint64 limbs.
-
-    Each half starts a limb of its own, and its columns fill limbs in
-    `fmatrix`'s bit order, column 0 the top bit: column c is bit
-    63 - c % 64 of limb c // 64.  So limbs compared in order compare the
-    symbols in order: the zero padding at the end of a half's last limb is
-    the same in every word.  `_search` makes the limbs from `fmatrix`'s
-    packed ints, each half shifted up to its last limb's end; this returns
-    `spell`, one (shift, spec) per limb, and format(limb >> shift, spec)
-    spells that limb's columns."""
-    return tuple((64 - b, f"0{b}b") for w in widths for b in (min(64, w - s) for s in range(0, w, 64)))
 
 
 EXACT = "exact"
@@ -302,71 +288,30 @@ class SymplecticCode(LinearCode):
         """Number of qudit positions."""
         return self.n // 2
 
-    def self_orthogonality_witness(self) -> tuple[int, int, int] | None:
-        """First generator pair (i, j), i <= j in row-major order, with a
-        nonzero symplectic pairing, and that pairing; None if there is none.
-
-        Every pair at once: rows i and j pair to P[i, j] - P[j, i] for
-        P[i, j] = sum_c b_i[c] a_j[c], an integer matmul mod p over a prime
-        field.  Over an extension the products come from the mul table, and
-        since the base-p digits of residues add independently mod p, each
-        digit of P is an integer sum of the digits of those products.  The
-        pairings are antisymmetric, so the first nonzero one in row-major
-        order lies above the diagonal."""
-        f, h, p = self.field, self.half, self.field.p
-        G = np.array(self.basis.rows, dtype=np.int64).reshape(-1, self.n)
-        if f.m == 1:
-            P = G[:, h:] @ G[:, :h].T
-            pair = (P - P.T) % p
-        else:
-            place = p ** np.arange(f.m)
-            prods = f.np_tables()[1][G[:, None, h:], G[None, :, :h], None]  # b_i[c] * a_j[c]
-            digits = (prods // place % p).sum(axis=2)
-            pair = (digits - digits.transpose(1, 0, 2)) % p @ place
-        nonzero = np.flatnonzero(pair)
-        if not len(nonzero):
-            return None
-        i, j = divmod(int(nonzero[0]), len(G))
-        return (i, j, int(pair[i, j]))
-
     def is_self_orthogonal(self) -> bool:
-        return self.self_orthogonality_witness() is None
+        return is_subcode(self, dual(self, "symplectic"))
 
     def __repr__(self) -> str:
         return f"SymplecticCode(GF({self.field.q}), n={self.half}, dim={self.k_dim})"
 
 
-def _rows_and_length(rows, n: int | None) -> tuple[list | FqMatrix, int]:
-    """The rows, as a list unless they are an `FqMatrix`, and n, or the
-    length of a row if n is None."""
-    if isinstance(rows, FqMatrix):
-        return rows, rows.ncols if n is None else n
-    rows = list(rows)
-    if n is None:
-        if not rows:
-            raise DimensionMismatch("length required for a code with no generators")
-        n = len(rows[0])
-    return rows, n
-
-
 def linear_code(field: Field, rows, n: int | None = None) -> LinearCode:
     """Linear code from spanning rows (need not be independent)."""
-    rows, n = _rows_and_length(rows, n)
-    return LinearCode(field, n, rows, LINEAR)
+    M = fmatrix.matrix(field, rows, n)
+    return LinearCode(field, M.ncols, M, LINEAR)
 
 
 def symplectic_code(field: Field, rows, half: int | None = None) -> SymplecticCode:
     """Symplectic code from rows of length 2n over F_q."""
-    rows, n = _rows_and_length(rows, None if half is None else 2 * half)
-    return SymplecticCode(field, n, rows)
+    M = fmatrix.matrix(field, rows, None if half is None else 2 * half)
+    return SymplecticCode(field, M.ncols, M)
 
 
 def additive_code(field: Field, rows, n: int | None = None) -> LinearCode:
     """Additive code over a square-order field from subfield-spanning rows."""
     ext = quad_ext(field)
-    rows, n = _rows_and_length(rows, n)
     M = fmatrix.matrix(field, rows, n)  # entries in range before they are split
-    return LinearCode(field, n, FqMatrix(ext.sub, tuple(map(ext.phi_inv, M.rows)), 2 * n), ADDITIVE)
+    return LinearCode(field, M.ncols, FqMatrix(ext.sub, tuple(map(ext.phi_inv, M.rows)), 2 * M.ncols), ADDITIVE)
 
 
 def as_additive(C: LinearCode) -> LinearCode:
@@ -514,12 +459,14 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     count, and the witness is mapped back to a codeword of C.
 
     A word is a column of a block of at most _BLOCK words.  Over GF(2) the
-    column is uint64 limbs (`_limb_layout`): each half, a and b for
-    quantum weight or the whole word for Hamming weight, is packed on its
-    own in `fmatrix`'s bit order, its column 0 the top bit of its first
-    limb.  A basis row's limbs come from its packed int in `basis.packed`:
-    each half is shifted to end its last limb, and the bytes of all rows
-    are read as big-endian uint64 at once.  Words add by XOR, and a
+    column is uint64 limbs: each half, a and b for quantum weight or the
+    whole word for Hamming weight, is packed on its own in `fmatrix`'s bit
+    order, its column 0 the top bit of its first limb.  A basis row's limbs
+    come from its packed int in `basis.packed`: each half is shifted to end
+    its last limb, and the bytes of all rows are read as big-endian uint64
+    at once.  Read back as one big-endian int, shifted down and with its
+    halves joined again, a word's limbs are its `fmatrix` int, which
+    `fmatrix._unpack` spells.  Words add by XOR, and a
     word's weight is the popcount of W[:split] | W[split:] (of W, for
     Hamming weight) summed over its limbs.  A half's padding bits are
     zero in every word, so the limbs, compared in order, compare the
@@ -591,24 +538,27 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     if q == 2:
         # each half of a packed row, shifted to end its last limb, is read as
         # big-endian limbs; a limb's nonzero symbols are its set bits
-        spell = _limb_layout((width, width) if quantum_half else (width,))
         per_half = -(-width // 64)
-        pad, low = 64 * per_half - width, (1 << width) - 1
+        pad, mask = 64 * per_half - width, (1 << width) - 1
         ints = basis.packed
         if quantum_half:  # the b half starts a limb of its own
-            ints = [v >> width << 64 * per_half | v & low for v in ints]
-        data = b"".join((v << pad).to_bytes(8 * len(spell), "big") for v in ints)
+            ints = [v >> width << 64 * per_half | v & mask for v in ints]
+        nbytes = 8 * per_half * (2 if quantum_half else 1)
+        data = b"".join((v << pad).to_bytes(nbytes, "big") for v in ints)
         limbs = np.frombuffer(data, ">u8").reshape(k, -1)
-        mults = np.zeros((len(spell), k, 2), dtype=np.uint64)
+        mults = np.zeros((limbs.shape[1], k, 2), dtype=np.uint64)
         mults[:, :, 1] = limbs.T
         if quantum_half:
             split = per_half
         ones = _popcount
 
         def unpack(key):
-            """The symbols of a packed word."""
-            bits = "".join([format(x >> s, f) for x, (s, f) in zip(key, spell)])
-            return tuple(bits.encode().translate(fmatrix._BIT_BYTES))
+            """The symbols of a packed word: its limbs read back as the
+            `fmatrix` int they were made from."""
+            x = int.from_bytes(np.array(key, ">u8").tobytes(), "big") >> pad
+            if quantum_half:
+                x = x >> 64 * per_half << width | x & mask
+            return fmatrix._unpack(x, n)
 
     else:
         rows = np.frombuffer(bytes(chain.from_iterable(basis.rows)), dtype=np.uint8).reshape(k, n)

@@ -83,13 +83,10 @@ class NotSelfOrthogonal(StabforgeError):
     Carries the offending generator index pair and the pairing value.
     """
 
-    def __init__(self, i: int, j: int, value: int, message: str | None = None):
+    def __init__(self, i: int, j: int, value: int, message: str):
         self.pair = (i, j)
         self.value = value
-        super().__init__(
-            message
-            or f"generators {i} and {j} have symplectic pairing {value} != 0"
-        )
+        super().__init__(message)
 
 
 class NotDualContaining(StabforgeError):

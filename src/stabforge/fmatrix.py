@@ -86,7 +86,7 @@ def matrix(field: Field, rows, ncols: int | None = None) -> FqMatrix:
     rows = tuple(tuple(map(int, r)) for r in rows)
     if ncols is None:
         if not rows:
-            raise DimensionMismatch("cannot infer column count of an empty matrix")
+            raise DimensionMismatch("length required for a matrix with no rows")
         ncols = len(rows[0])
     return FqMatrix(field, rows, ncols)
 

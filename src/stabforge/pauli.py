@@ -98,11 +98,21 @@ def weights(E: PauliOperator) -> tuple[int, int, int]:
     return quantum_weight(E.a + E.b), hamming_weight(E.a), hamming_weight(E.b)
 
 
-def not_self_orthogonal(field: Field, rows, i: int, j: int, value: int) -> NotSelfOrthogonal:
-    """The error for generator rows i and j, (a|b) vectors pairing to
-    `value`, naming both as operators in the certificate witness format."""
-    ops = [pauli_format(pauli_from_vector(field, rows[x])) for x in (i, j)]
-    return NotSelfOrthogonal(i, j, value, f"generators {ops[0]} and {ops[1]} have symplectic pairing {value} != 0")
+def not_self_orthogonal(field: Field, rows) -> NotSelfOrthogonal | None:
+    """The error for the first generator pair i < j, in row-major order, of
+    (a|b) rows with a nonzero symplectic pairing, naming both as operators
+    in the certificate witness format; None when every pair commutes.  A
+    row pairs to zero with itself, so i < j finds the first pair of i <= j.
+    The loop is O(k^2 n), so `certify_stabilizer` runs it only once its
+    dual has rejected the code."""
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            value = symplectic_pair(field, rows[i], rows[j])
+            if value:
+                ops = [pauli_format(pauli_from_vector(field, rows[x])) for x in (i, j)]
+                message = f"generators {ops[0]} and {ops[1]} have symplectic pairing {value} != 0"
+                return NotSelfOrthogonal(i, j, value, message)
+    return None
 
 
 def error_set_size(n: int, delta: int, q: int, with_phases: bool = False) -> int:

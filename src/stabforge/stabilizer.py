@@ -171,15 +171,17 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     k = n - dim C and d is the minimum quantum weight of the symplectic
     dual D minus the code itself (of the dual alone when k = 0).  Purity
     pairs d with C, of dimension n - k, and not with D, of dimension n + k.
+    C is self-orthogonal iff it lies in D, so D, built first, decides that
+    as well; `pauli.not_self_orthogonal` then names the first failing pair.
     """
-    witness = C.self_orthogonality_witness()
-    if witness is not None:
-        raise not_self_orthogonal(C.field, C.gen.rows, *witness)
+    D = dual(C, "symplectic")
+    if not is_subcode(C, D):
+        raise not_self_orthogonal(C.field, C.gen.rows)
     n = C.half
     k = n - C.k_dim
     tag = f"certify_stabilizer(C:{code_digest(C)})"
     if k > 0:
-        d = min_weight_diff(dual(C, "symplectic"), C, "quantum", budget)
+        d = min_weight_diff(D, C, "quantum", budget)
         pure = _purity("quantum", budget, (d, C))
     else:
         d = min_weight(C, "quantum", budget)

@@ -7,7 +7,8 @@ basis indices by XOR, Z(b) applies the parity sign (-1)^(b.v) counted by
 `code._popcount`, and the idempotent projectors (I + (-1)^s_j g_j)/2
 carve out the syndrome eigenspaces.  Everything here is independent of
 the enumeration-based certification path; it exists to cross-check it at
-desk scale.
+desk scale.  Generators are checked pair by pair (`pauli.not_self_orthogonal`),
+where certification decides by the symplectic dual.
 
 The Knill-Laflamme check costs what it checks: the code basis stops at its
 2^(n-|G|) vectors, and only the errors of weight at most delta are walked,
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fmatrix
-from .code import SymplecticCode, _popcount, symplectic_pair
+from .code import SymplecticCode, _popcount
 from .errors import BadRange, ShapeMismatch, StabforgeError, TooLarge, UnsupportedField
-from .gf import Field, field_make
+from .gf import field_make
 from .pauli import PauliOperator, hermitian_phases, not_self_orthogonal
 
 _F2 = field_make(2, 1)
@@ -51,11 +52,9 @@ class GeneratorSet:
         if len(self.phases) != len(self.rows):
             raise StabforgeError("one phase per generator required")
         M = fmatrix.matrix(_F2, self.rows, 2 * self.n)  # BadRange unless every entry is 0 or 1
-        for i in range(M.nrows):
-            for j in range(i + 1, M.nrows):
-                v = symplectic_pair(_F2, M.rows[i], M.rows[j])
-                if v:
-                    raise not_self_orthogonal(_F2, M.rows, i, j, v)
+        error = not_self_orthogonal(_F2, M.rows)
+        if error is not None:
+            raise error
         if fmatrix.rank(M) != M.nrows:
             raise StabforgeError("generator rows are linearly dependent")
         for lam, ab in zip(self.phases, hermitian_phases(_F2, self.rows)):

@@ -390,6 +390,13 @@ def test_contains_refuses_a_word_of_the_wrong_length_or_field(q):
                 C.contains(v)
 
 
+def test_constructors_need_a_length_for_no_rows(f2, f4):
+    """With no rows there is no row to read the length from."""
+    for make, field in ((linear_code, f2), (symplectic_code, f2), (additive_code, f4)):
+        with pytest.raises(DimensionMismatch, match="length required"):
+            make(field, [])
+
+
 def test_repetition_not_in_simplex(f2, simplex73):
     rep = linear_code(f2, [(1,) * 7])
     # all-ones has weight 7 while simplex words weigh 0 or 4

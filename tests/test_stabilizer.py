@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from stabforge.cli import run
 from stabforge.code import (
     EXACT,
     LOWER_BOUND,
@@ -18,6 +19,7 @@ from stabforge.code import (
     min_weight,
     phi_code,
     quantum_weight,
+    save_code,
     symplectic_code,
     symplectic_pair,
 )
@@ -30,6 +32,7 @@ from stabforge.errors import (
     NotSelfOrthogonal,
 )
 from stabforge.gf import field_make, field_of_order
+from stabforge.pauli import hermitian_phases
 from stabforge.stabilizer import (
     IMPURE,
     PURE,
@@ -46,6 +49,7 @@ from stabforge.stabilizer import (
     steane_enlarge,
 )
 from stabforge.code import DistanceResult
+from stabforge.statevec import GeneratorSet
 
 from conftest import even_weight_rows, reed_muller_rows
 
@@ -173,10 +177,12 @@ def _first_failing_pair(C):
 
 
 def test_self_orthogonality_witness_matches_the_pairwise_loop():
-    """The all-pairs witness is the scalar loop's first failing pair and its
-    value, over prime and extension fields of both characteristics: on
-    random codes, on their symplectic hulls (self-orthogonal) and on a hull
-    with one random row added, whose failing pairs come late."""
+    """The symplectic dual decides self-orthogonality, and a rejection names
+    the scalar loop's first failing pair and its value (through `GeneratorSet`
+    as well, over GF(2)), over prime and extension fields of both
+    characteristics: on random codes, some of dimension above n, on their
+    symplectic hulls (self-orthogonal) and on a hull with one random row
+    added, whose failing pairs come late."""
     rng = random.Random(31)
     for q in (2, 3, 4, 9, 16):
         f = field_of_order(q)
@@ -188,11 +194,44 @@ def test_self_orthogonality_witness_matches_the_pairwise_loop():
             H = hull(C, "symplectic")
             late = symplectic_code(f, list(H.gen.rows) + [[rng.randrange(q) for _ in range(2 * n)]], half=n)
             for A in (C, H, late):
-                w = A.self_orthogonality_witness()
-                assert w == _first_failing_pair(A), (A, w)
-                failing += w is not None
-                passing += w is None
+                ref = _first_failing_pair(A)
+                assert (ref is None) == A.is_self_orthogonal(), A
+                if ref is None:
+                    passing += 1
+                    continue
+                failing += 1
+                # rejected before any walk, so the budget is never read
+                with pytest.raises(NotSelfOrthogonal) as exc:
+                    certify_stabilizer(A, budget=1)
+                assert (*exc.value.pair, exc.value.value) == ref, A
+                if q == 2:
+                    gens = A.gen.rows
+                    with pytest.raises(NotSelfOrthogonal) as exc:
+                        GeneratorSet(A.half, gens, hermitian_phases(f, gens))
+                    assert (*exc.value.pair, exc.value.value) == ref, A
         assert failing and passing, q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_more_generators_than_qudits_is_rejected_by_the_first_anticommuting_pair(q, tmp_path, capsys):
+    """A symplectic code of dimension above n (k < 0) is not self-orthogonal:
+    certification names its first anticommuting pair, in the library and on
+    the command line, and never reaches the logical-dimension check."""
+    f = field_of_order(q)
+    n = 3
+    C = symplectic_code(f, [[1 if i == j else 0 for j in range(2 * n)] for i in range(n + 1)])  # X1, X2, X3, Z1
+    assert C.k_dim == n + 1
+    ref = _first_failing_pair(C)
+    assert ref == (0, n, f.sub(0, 1))  # X1 and Z1: b.a' - b'.a = -1
+    with pytest.raises(NotSelfOrthogonal) as exc:
+        certify_stabilizer(C)
+    assert (*exc.value.pair, exc.value.value) == ref
+    if q == 2:
+        assert str(exc.value) == "generators XII and ZII have symplectic pairing 1 != 0"
+    path = tmp_path / "overfull.sym"
+    save_code(C, path)
+    assert run(["certify", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"certify: {exc.value}\n"
 
 
 # -- CSS ------------------------------------------------------------------------
