@@ -505,22 +505,26 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     groups hold a row at or after the leading row, every word of layer t
     uses an earlier row, and the layer is skipped.  It is counted in
     `visited` as if walked, so `visited` and every budget decision stay
-    what the full layer gives.
+    what the full layer gives.  The count is below every later layer too,
+    and their words weigh at least the floor, so a walk that ends before
+    such a decided layer has the exact distance and the full walk's
+    witness.
 
     The walk is chosen from counts alone.  A span beyond the budget walks
     layers while they fit it, and stops early once proven; its result is
     the floor of the first unfinished layer as a lower bound, with no
-    witness, unless a word below it was found.  A span within the budget
-    is walked exhaustively when it has at most _SMALL_SPAN words.  A
-    larger one walks layer t while _LAYERED_COST times the words walked
-    with layer t is at most the span, and finishes with the exhaustive
-    walk if that stops holding first, so layers take at most
-    1/_LAYERED_COST of the span before it.
+    witness, unless a word below it was found or that layer is decided.
+    A span within the budget is walked exhaustively when it has at most
+    _SMALL_SPAN words.  A larger one walks layer t while _LAYERED_COST
+    times the words walked with layer t is at most the span, and finishes
+    with the exhaustive walk if that stops holding first (and the next
+    layer is not decided), so layers take at most 1/_LAYERED_COST of the
+    span before it.
 
     A `target` ends the walk before layer t, or before the whole span,
-    once floors[t] reaches it, and returns that floor as a lower bound: no
-    word lighter than the target is left.  A span walked whole from the
-    start ignores it.
+    once floors[t] reaches it, and returns that floor as a lower bound
+    (the best word, if layer t is decided): no word lighter than the
+    target is left.  A span walked whole from the start ignores it.
 
     The witness is the lexicographically smallest minimum-weight word
     outside B, whatever order the words are visited in: each block's
@@ -708,7 +712,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
                     consider(W)
         visited += layers[t]
         t += 1
-    if best_w < floors[t] or t > g:
+    if t > g or best_w < floors[t] or decided(t):
         return result(EXACT, visited)
     if total <= budget and floors[t] < stop:
         for W in span(range(k)):

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import fmatrix
 from .code import (
     DEFAULT_BUDGET,
     EXACT,
@@ -165,21 +164,13 @@ def _purity(wfn: str, budget: int, *pairs: tuple[DistanceResult, LinearCode]) ->
     return UNKNOWN
 
 
-def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
-    """Certify a symplectic self-orthogonal code as an [[n, k, d]]_q code.
-
-    k = n - dim C and d is the minimum quantum weight of the symplectic
-    dual D minus the code itself (of the dual alone when k = 0).  Purity
-    pairs d with C, of dimension n - k, and not with D, of dimension n + k.
-    C is self-orthogonal iff it lies in D, so D, built first, decides that
-    as well; `pauli.not_self_orthogonal` then names the first failing pair.
-    """
+def _certify(C: SymplecticCode, budget: int, tag: str) -> StabilizerCode:
+    """`certify_stabilizer` with provenance `tag`, `|k0-selfdual` added when k = 0."""
     D = dual(C, "symplectic")
     if not is_subcode(C, D):
         raise not_self_orthogonal(C.field, C.gen.rows)
     n = C.half
     k = n - C.k_dim
-    tag = f"certify_stabilizer(C:{code_digest(C)})"
     if k > 0:
         d = min_weight_diff(D, C, "quantum", budget)
         pure = _purity("quantum", budget, (d, C))
@@ -191,6 +182,18 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
     return StabilizerCode(code=C, params=params)
 
 
+def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
+    """Certify a symplectic self-orthogonal code as an [[n, k, d]]_q code.
+
+    k = n - dim C and d is the minimum quantum weight of the symplectic
+    dual D minus the code itself (of the dual alone when k = 0).  Purity
+    pairs d with C, of dimension n - k, and not with D, of dimension n + k.
+    C is self-orthogonal iff it lies in D, so D, built first, decides that
+    as well; `pauli.not_self_orthogonal` then names the first failing pair.
+    """
+    return _certify(C, budget, f"certify_stabilizer(C:{code_digest(C)})")
+
+
 def certify_additive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
     """Certify a trace-alternating self-orthogonal additive code over
     GF(q^2) by pulling it back through Phi^-1."""
@@ -198,12 +201,8 @@ def certify_additive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerC
         raise WrongFieldOrder(f"additive certification needs GF(q^2), got GF({C.field.q})")
     A = as_additive(C)
     # Phi carries the trace-alternating pairing to the symplectic one, so
-    # certify_stabilizer's check on the preimage is the additive check
-    stab = certify_stabilizer(phi_inv_code(A), budget)
-    tag = f"certify_additive(C:{code_digest(A)})"
-    if stab.params.k == 0:
-        tag += "|k0-selfdual"
-    return replace(stab, params=replace(stab.params, provenance=tag))
+    # the symplectic check on the preimage is the additive check
+    return _certify(phi_inv_code(A), budget, f"certify_additive(C:{code_digest(A)})")
 
 
 def _check_linear_pair(C1: LinearCode, C2: LinearCode):
@@ -247,8 +246,7 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     k = C1.k_dim + C2.k_dim - n
     tag = f"css(C1:{code_digest(C1)},C2:{code_digest(C2)})"
     if k == 0:
-        stab = certify_stabilizer(block, budget)
-        return replace(stab, params=replace(stab.params, provenance=tag + "|k0-selfdual"))
+        return _certify(block, budget, tag)
     w21, w12 = _css_walks(C1, C2, D1, D2, budget)
     if w21.value <= w12.value:
         sym_wit = tuple(w21.witness) + (0,) * n if w21.witness else None
@@ -290,7 +288,7 @@ def steane_enlarge(C: LinearCode, Cp: LinearCode, budget: int = DEFAULT_BUDGET) 
 def construction_x(C: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:
     """Quantum Construction X on an [n, k]_{q^2} linear code.
 
-    e is the codimension of the Hermitian hull inside C; the output
+    e = k - dim hull_H(C) = dim(C + C^perp_H) - dim C^perp_H; the output
     [[n+e, n-2k+e]]_q distance is a certified lower bound
     min(d(C^perp_H), d(C + C^perp_H) + 1) and stays bound-only since the
     lengthened stabilizer matrix itself is not synthesized here.
@@ -299,19 +297,19 @@ def construction_x(C: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:
         raise StabforgeError("Construction X takes a linear code over GF(q^2)")
     if C.field.m % 2:
         raise WrongFieldOrder(f"Construction X needs GF(q^2), got GF({C.field.q})")
-    e = C.k_dim - hull(C, "hermitian").k_dim
+    Dh = dual(C, "hermitian")
+    S = sum_code(C, Dh)
+    e = S.k_dim - Dh.k_dim
     tag = f"construction_x(C:{code_digest(C)})"
     if e == 0:
         stab = certify_additive(C, budget)
         return replace(stab.params, provenance=tag + "|e0-stabilizer")
-    Dh = dual(C, "hermitian")
     # a zero C^perp_H has no word, so only C + C^perp_H bounds d
     dD = min_weight(Dh, budget=budget) if Dh.k_dim else DistanceResult(C.n + 1, EXACT)
-    dS = min_weight(sum_code(C, Dh), budget=budget)
+    dS = min_weight(S, budget=budget)
     d = DistanceResult(min(dD.value, dS.value + 1), LOWER_BOUND, None, dD.visited + dS.visited)
-    sub_q = quad_ext(C.field).sub.q
     return CodeParams(
-        q=sub_q,
+        q=quad_ext(C.field).sub.q,
         n=C.n + e,
         k=C.n - 2 * C.k_dim + e,
         d=d,
@@ -324,9 +322,9 @@ def propagate(p: CodeParams, rule: str) -> CodeParams:
     """Parameter-level propagation: subcode, lengthen, or puncture."""
     if p.is_asymmetric:
         raise BadRule("propagation rules apply to symmetric parameters")
+    if rule in ("subcode", "lengthen") and p.k < 1:  # Calderbank, Rains, Shor, Sloane 1998, Thm 6
+        raise BadRule(f"{rule} construction needs k >= 1")
     if rule == "subcode":
-        if p.k < 1:
-            raise BadRule("subcode construction needs k >= 1")
         n, k, dv = p.n, p.k - 1, p.d.value
     elif rule == "lengthen":
         n, k, dv = p.n + 1, p.k, p.d.value
@@ -380,22 +378,23 @@ def css_aqc(
 
 
 def ea_ebits(C: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:
-    """Entanglement-assisted parameters [[n, 2k - n + c, d; c]]_q from an
-    [n, k, d]_{q^2} code, with c the rank of H H^dagger for H the
-    Euclidean parity-check matrix."""
+    """Entanglement-assisted [[n, 2k - n + c, d; c]]_q from an [n, k]_{q^2}
+    code C.  c = rank(H H^dagger), H the Euclidean parity check, is
+    n - k - dim hull_H(C), as hull_H(C^perp) is the conjugate of hull_H(C).
+    The hull's errors act trivially, so d = wt(C minus hull) if 0 < dim hull < k."""
     if C.is_additive:
         raise StabforgeError("the EA construction takes a linear code over GF(q^2)")
     f = C.field
     if f.m % 2:
         raise WrongFieldOrder(f"EA construction needs GF(q^2), got GF({f.q})")
-    H = dual(C, "euclidean").gen
-    conj = fmatrix.entrywise_frob(H, f.m // 2)
-    gram = fmatrix.matmul(H, fmatrix.transpose(conj))
-    c = fmatrix.rank(gram)
-    d = min_weight(C, budget=budget) if C.k_dim else DistanceResult(C.n + 1, EXACT, None, 0)
-    sub_q = quad_ext(f).sub.q
+    Hu = hull(C, "hermitian")
+    c = C.n - C.k_dim - Hu.k_dim
+    if 0 < Hu.k_dim < C.k_dim:
+        d = min_weight_diff(C, Hu, budget=budget)
+    else:
+        d = min_weight(C, budget=budget) if C.k_dim else DistanceResult(C.n + 1, EXACT, None, 0)
     return CodeParams(
-        q=sub_q,
+        q=quad_ext(f).sub.q,
         n=C.n,
         k=2 * C.k_dim - C.n + c,
         d=d,

@@ -157,6 +157,11 @@ def test_propagate_subcommand(capsys):
 
 def test_propagate_bad_rule_precondition(capsys):
     assert run(["propagate", "--params", "5,1,1,2", "--rule", "puncture"]) == 2
+    capsys.readouterr()
+    # lengthening needs k >= 1: no 7-qubit stabilizer state has d = 4
+    assert run(["propagate", "--params", "6,0,4,2", "--rule", "lengthen"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lengthen construction needs k >= 1" in captured.err
 
 
 def test_bounds_hamming_example(capsys):

@@ -747,10 +747,11 @@ def test_partial_budget_exact_below_floor(hamming74):
     full = min_weight(hamming74)
     assert (r.value, r.status, r.visited) == (3, EXACT, 14)
     assert r.witness == full.witness
-    # with t <= 2 done the floor is 3, equal to the lightest word found: an
-    # unvisited word of weight 3 could still be smaller, so it stays a bound
+    # with t <= 2 done the floor is 3, equal to the lightest word found, and
+    # layer 3 is decided: fewer than 3 groups hold a row at or after the
+    # witness's leading row, so no unvisited word of weight 3 is smaller
     r = min_weight(hamming74, budget=10)
-    assert (r.value, r.status, r.witness, r.visited) == (3, LOWER_BOUND, None, 10)
+    assert (r.value, r.status, r.witness, r.visited) == (3, EXACT, full.witness, 10)
 
 
 def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
@@ -768,7 +769,12 @@ def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
     span within the budget visits layer t while _LAYERED_COST * (visited +
     layer t) is at most the span, and then the whole span.  With a target,
     a walk that has started on layers ends before layer t, or before the
-    whole span, once floor(t) reaches the target, with that floor."""
+    whole span, once floor(t) reaches the target, with that floor.  A walk
+    that ends before layer t when the lightest word found weighs floor(t)
+    is exact all the same if fewer than t groups hold a row at or after
+    the row that leads that word: every unvisited word of that weight then
+    uses an earlier row, so it is nonzero where the lightest word is still
+    zero, and sorts after it."""
     q, k, n = field.q, len(gen_rows), len(gen_rows[0])
 
     def word(msg, rows):
@@ -785,9 +791,10 @@ def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
 
     excluded = {word(m, ex_rows) for m in itertools.product(range(q), repeat=len(ex_rows))}
     paired = q * q - 1 <= code._BLOCK
-    qudits, by_group = set(), {}
+    qudits, by_group, pivots = set(), {}, []
     for i, row in enumerate(gen_rows):
         pivot = next(j for j, x in enumerate(row) if x)
+        pivots.append(pivot)
         qudit = pivot % half if half else pivot
         qudits.add(qudit)
         by_group.setdefault(qudit if paired else i, []).append(i)
@@ -830,6 +837,13 @@ def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
     def reached(t):
         return target is not None and floor(t) >= target
 
+    def decided(t):
+        w, v = best()
+        if w != floor(t):
+            return False
+        lead = pivots.index(next(j for j, x in enumerate(v) if x))
+        return sum(any(i >= lead for i in gr) for gr in groups) < t
+
     visited, t = 0, 1
     while t <= g and best()[0] >= floor(t) and not reached(t):
         if total > budget:
@@ -841,7 +855,7 @@ def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
         walk(t)
         visited += sizes[t]
         t += 1
-    if best()[0] < floor(t) or t > g:
+    if best()[0] < floor(t) or t > g or decided(t):
         return best()[0], EXACT, best()[1], visited
     if total <= budget and not reached(t):
         for s in range(t, g + 1):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from stabforge import code as code_mod
+from stabforge import fmatrix
+from stabforge import stabilizer as stabilizer_mod
 from stabforge.cli import run
 from stabforge.code import (
     EXACT,
@@ -574,6 +578,9 @@ def test_propagation_preconditions(ex512):
     zero_k = propagate(p, "subcode")
     with pytest.raises(BadRule):
         propagate(zero_k, "subcode")
+    # lengthen construction needs k >= 1 (Calderbank, Rains, Shor and Sloane 1998, Thm 6)
+    with pytest.raises(BadRule, match="lengthen construction needs k >= 1"):
+        propagate(zero_k, "lengthen")
     d1 = CodeParams(q=2, n=4, k=1, d=DistanceResult(1, EXACT), provenance="t")
     with pytest.raises(BadRule):
         propagate(d1, "puncture")
@@ -660,6 +667,106 @@ def test_ea_rank_bounds_random(f4):
         p = ea_ebits(C)
         assert 0 <= p.ebits <= 3
         assert 2 * 3 - 6 + p.ebits == p.k >= 0
+
+
+def _hull_identity_codes(f, rng):
+    """Seeded random linear codes over f, the whole space F^n, and a
+    Hermitian self-orthogonal code: two disjoint blocks of p ones, each of
+    Hermitian norm p * 1 = 0."""
+    codes = []
+    for _ in range(12):
+        n = rng.randrange(1, 7)
+        k = rng.randrange(1, n + 1)
+        codes.append(linear_code(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)], n))
+    codes.append(linear_code(f, [[int(i == j) for j in range(4)] for i in range(4)]))
+    p = f.p
+    codes.append(linear_code(f, [(1,) * p + (0,) * p, (0,) * p + (1,) * p]))
+    return codes
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 64, 256])
+def test_ebits_and_construction_x_extension_are_hull_codimensions(q):
+    """c = rank(H H^dagger) for H the Euclidean parity-check matrix, and
+    Construction X extends by e = k - dim hull_H(C)."""
+    f = field_of_order(q)
+    for C in _hull_identity_codes(f, random.Random(q)):
+        H = dual(C, "euclidean").basis
+        gram = fmatrix.matmul(H, fmatrix.transpose(fmatrix.entrywise_frob(H, f.m // 2)))
+        assert ea_ebits(C, budget=1).ebits == fmatrix.rank(gram), C.basis.rows
+        e = C.k_dim - hull(C, "hermitian").k_dim
+        assert construction_x(C, budget=1).n == C.n + e, C.basis.rows
+
+
+def test_ea_distance_leaves_out_the_hull(f4, hexacode):
+    # the only weight-2 words are the multiples of (0,1,0,1,0), which span
+    # the Hermitian hull, so the EA distance is 3, not d(C) = 2
+    C = linear_code(f4, [(1, 0, 2, 0, 1), (0, 1, 0, 1, 0)])
+    assert hull(C, "hermitian").basis.rows == ((0, 1, 0, 1, 0),)
+    assert min_weight(C).value == 2
+    p = ea_ebits(C)
+    assert format_params(p) == "[[5,1,3;2]]_2" and p.d.status == EXACT
+    # a hull that is all of C, or zero, leaves d(C)
+    assert format_params(ea_ebits(hexacode)) == "[[6,0,4;0]]_2"
+    assert format_params(ea_ebits(linear_code(f4, [(1, 0, 0)]))) == "[[3,1,1;2]]_2"
+
+
+def test_ea_distance_matches_brute_force(f4):
+    """The EA distance is the least weight of C outside its Hermitian hull
+    when the hull is a proper nonzero subcode, and d(C) otherwise."""
+    rng = random.Random(23)
+    proper = above = 0
+    for _ in range(200):
+        n = rng.randrange(2, 7)
+        C = linear_code(f4, [[rng.randrange(4) for _ in range(n)] for _ in range(rng.randrange(1, 4))], n)
+        if not C.k_dim:
+            continue
+        words = span(f4, C.basis.rows, n) - {(0,) * n}
+        d_C = min(map(hamming_weight, words))
+        Hu = hull(C, "hermitian")
+        if 0 < Hu.k_dim < C.k_dim:
+            words -= span(f4, Hu.basis.rows, n)
+            proper += 1
+        p = ea_ebits(C)
+        assert (p.d.value, p.d.status) == (min(map(hamming_weight, words)), EXACT), C.basis.rows
+        above += p.d.value > d_C
+    # 38 proper hulls, and 2 of them hold every lightest word of C
+    assert (proper, above) == (38, 2)
+
+
+def test_construction_x_builds_one_dual_and_one_sum(monkeypatch, f4):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # `hull` calls code.dual and code.sum_code, construction_x its own imports
+    for name in ("dual", "sum_code", "hull"):
+        wrapped = counting(name, getattr(code_mod, name))
+        for mod in (code_mod, stabilizer_mod):
+            monkeypatch.setattr(mod, name, wrapped)
+    p = construction_x(linear_code(f4, [(1, 1, 0, 0), (0, 0, 1, 0)]))
+    assert (p.n, p.k) == (5, 1)
+    assert counts == {"dual": 1, "sum_code": 1}
+
+
+def test_each_certificate_hashes_its_code_once(monkeypatch, ex512, hexacode, hamming74):
+    digests = []
+
+    def counting(C):
+        digests.append(C)
+        return code_mod.code_digest(C)
+
+    monkeypatch.setattr(stabilizer_mod, "code_digest", counting)
+    certify_stabilizer(ex512)
+    assert len(digests) == 1
+    p = certify_additive(hexacode).params
+    assert len(digests) == 2 and p.provenance.endswith("|k0-selfdual")
+    simplex = dual(hamming74, "euclidean")
+    p = css(hamming74, simplex).params
+    assert len(digests) == 4 and p.k == 0 and p.provenance.endswith("|k0-selfdual")
 
 
 # -- parameter invariants ------------------------------------------------------------
