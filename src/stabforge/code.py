@@ -20,9 +20,13 @@ walks a code's span in numpy blocks of at most _BLOCK codewords.  Over
 GF(2) a word is a column of 64-bit limbs, each half (a and b, for quantum
 weight) packed on its own from the top bit down, so words add by XOR,
 weigh by popcount and compare as their symbols do; a basis row's limbs
-are the bytes of its `fmatrix` int, so a GF(2) code stays packed from
-parsing to the walk, and a word's limbs map back to such an int, which
-`fmatrix` spells.  Over other fields a word is one uint8 per symbol.
+are the bytes of its `fmatrix` int.  A GF(2) code is packed from the first
+byte: `parse_code` reads a row of single 0 and 1 tokens straight as its
+int and packs a row spelled otherwise once it is checked; reductions,
+duals, sums and the CSS block (`_stack`) keep the ints, and a basis
+spells its symbol rows only when they are read.  A walked word's
+limbs map back to such an int, which `fmatrix` spells for an exclusion
+test or a witness.  Over other fields a word is one uint8 per symbol.
 The span is walked either whole or by layers t = 1, 2, ...: the rows are
 grouped by the qudit of their pivot, and layer t holds the messages
 nonzero on exactly t groups.  Such a word touches at least t qudits (t
@@ -256,17 +260,17 @@ class LinearCode:
             raise DimensionMismatch(f"word of length {len(v)} for a code of length {self.n}")
         return fmatrix.in_span(self.basis, self.coords(v))
 
+    @property
+    def _key(self) -> tuple:
+        """The ambient space and the basis, read as packed ints over GF(2)."""
+        B = self.basis
+        return id(self.field), self.n, self.linearity, B.packed if B.field.q == 2 else B.rows
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearCode)
-            and self.field is other.field
-            and self.n == other.n
-            and self.linearity == other.linearity
-            and self.basis.rows == other.basis.rows
-        )
+        return isinstance(other, LinearCode) and self._key == other._key
 
     def __hash__(self):
-        return hash((id(self.field), self.n, self.linearity, self.basis.rows))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         f = self.field.q
@@ -427,8 +431,24 @@ def hull(C: LinearCode, ip: str) -> LinearCode:
 def sum_code(A: LinearCode, B: LinearCode) -> LinearCode:
     """Span of the union of two codes, additive if either one is."""
     A, B = _same_kind(A, B)
-    rows = FqMatrix(A.basis.field, A.basis.rows + B.basis.rows, A.basis.ncols)
-    return LinearCode(A.field, A.n, rows, A.linearity)
+    return LinearCode(A.field, A.n, _stack(A.basis, B.basis), A.linearity)
+
+
+def _stack(A: FqMatrix, B: FqMatrix, shift: int = 0) -> FqMatrix:
+    """The rows of two code bases, A's over B's, shift + B.ncols wide: A's in
+    the leading columns, B's moved `shift` columns right, packed over GF(2).
+    With B wholly right of A the stack of the two rref bases is in rref, and
+    it records its pivots, so it is not reduced again."""
+    base, width = A.field, shift + B.ncols
+    known = {}
+    if shift >= A.ncols:
+        known["_pivots"] = A._pivots + tuple(shift + c for c in B._pivots)
+    if base.q == 2:  # A's ints move past the columns right of A
+        known["packed"] = tuple(v << width - A.ncols for v in A.packed) + B.packed
+    else:
+        right, left = (0,) * (width - A.ncols), (0,) * shift
+        known["rows"] = tuple(r + right for r in A.rows) + tuple(left + r for r in B.rows)
+    return fmatrix._trusted(base, width, **known)
 
 
 # ---------------------------------------------------------------------------
@@ -806,19 +826,30 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
     kind = None
     numbered_rows = []
     in_rows = False
+    bits = None  # the width of a GF(2) row, once the headers before `rows` give one
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if in_rows:
+            tokens = line.split()
+            # a full GF(2) row of single '0' and '1' tokens is read straight as
+            # its packed int; any other spelling takes the symbol path, checked below
+            if len(tokens) == bits:
+                word = "".join(tokens)
+                if len(word) == bits and not word.strip("01"):
+                    numbered_rows.append((lineno, int(word, 2)))
+                    continue
             try:
-                numbered_rows.append((lineno, tuple(map(int, line.split()))))
+                numbered_rows.append((lineno, tuple(map(int, tokens))))
             except ValueError:
                 raise CodeFileError(f"{name}:{lineno}: row entries must be integers")
             continue
         if line == "rows":
             in_rows = True
+            if field is not None and field.q == 2 and length is not None and kind is not None:
+                bits = 2 * length if kind == SYMPLECTIC else length
             continue
         key, *values = line.split()
         if key not in ("field", "length", "kind"):
@@ -850,12 +881,18 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
         raise CodeFileError(f"{name}: missing field/length/kind header")
     expected = 2 * length if kind == SYMPLECTIC else length
     for i, (lineno, r) in enumerate(numbered_rows, start=1):
+        if isinstance(r, int):  # a packed GF(2) row, of `expected` bits as read
+            continue
         if len(r) != expected:
             raise CodeFileError(f"{name}:{lineno}: row {i} has {len(r)} entries, expected {expected}")
         if min(r) < 0 or max(r) >= field.q:
             raise CodeFileError(f"{name}:{lineno}: row {i} has entries outside [0, {field.q})")
-    # the rows were checked above; FqMatrix checks them once more, as it is made
-    rows = FqMatrix(field, tuple(r for _, r in numbered_rows), expected)
+    if field.q == 2:  # rows of other spellings are packed once checked
+        packed = [r if isinstance(r, int) else fmatrix._pack(r) for _, r in numbered_rows]
+        rows = fmatrix.from_packed(field, packed, expected)
+    else:
+        # the rows were checked above; FqMatrix checks them once more, as it is made
+        rows = FqMatrix(field, tuple(r for _, r in numbered_rows), expected)
     if kind == SYMPLECTIC:
         return symplectic_code(field, rows, half=length)
     if kind == ADDITIVE:

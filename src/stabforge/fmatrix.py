@@ -9,13 +9,16 @@ GF(2) elimination runs on machine-word bitsets, one int per row.  This
 module owns the one bit order of a packed GF(2) row: column 0 is the top
 bit, so ints compare as their rows do.  `_pack` and `_unpack` convert, and
 the minimum-weight walk in `code` and the dense oracle in `statevec` read
-the same order.  It also owns a GF(2) matrix's packed rows, `packed`:
-`rref` keeps the ints of its elimination on the matrix it returns, and any
-other matrix packs its rows once, on first use.  Membership XORs those
-ints, one basis row per pivot bit the word sets.  A GF(2) kernel is built
-on R = rref(M)'s packed rows: free column f's null vector is bit f plus
-the pivot bit of each row of R that sets bit f, and the vectors are
-reduced as ints.  `from_packed` makes a GF(2) matrix from such ints.
+the same order.  A GF(2) matrix has two forms, its symbol `rows` and its
+packed rows, `packed`; it keeps the form it was made in and derives the
+other from it on first read.  A matrix made from rows packs them when
+`packed` is first read; one made from ints (`from_packed`, and the
+results of GF(2) `rref` and `kernel`, which keep the ints of their
+elimination) spells its rows only when `rows` is first read, and `nrows`
+counts either form.  Membership XORs the packed ints, one basis row per
+pivot bit the word sets.  A GF(2) kernel is built on R = rref(M)'s packed
+rows: free column f's null vector is bit f plus the pivot bit of each row
+of R that sets bit f, and the vectors are reduced as ints.
 Other fields read rows of the field's add and mul tables, so scaling a row
 or subtracting a multiple of one is one list comprehension of lookups.
 Sizes here are small; the heavy enumeration loops live in `code`.
@@ -47,17 +50,26 @@ class FqMatrix:
         if not set(map(len, self.rows)) <= {self.ncols}:
             raise DimensionMismatch("ragged rows")
 
+    def __getattr__(self, name):
+        """`rows` of a GF(2) matrix made from packed ints: spelled from them
+        on first read, and kept."""
+        if name != "rows" or "packed" not in self.__dict__:
+            raise AttributeError(name)
+        rows = self.__dict__["rows"] = tuple(_unpack(v, self.ncols) for v in self.packed)
+        return rows
+
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        """The number of rows, counted in whichever form the matrix has."""
+        return len(self.__dict__["rows" if "rows" in self.__dict__ else "packed"])
 
     def __iter__(self):
         return iter(self.rows)
 
     @cached_property
     def packed(self) -> tuple[int, ...]:
-        """The GF(2) rows as ints in `_pack`'s order; `rref` sets them on
-        the matrices it reduces."""
+        """The GF(2) rows as ints in `_pack`'s order, packed on first read
+        unless the matrix was made from them."""
         return tuple(map(_pack, self.rows))
 
     @cached_property
@@ -68,13 +80,14 @@ class FqMatrix:
         return sum(rows), rows
 
 
-def _trusted(field: Field, rows: tuple, ncols: int, **known) -> FqMatrix:
+def _trusted(field: Field, ncols: int, **known) -> FqMatrix:
     """A reduction's result, made without `FqMatrix`'s check: its rows are
     in range and of length ncols by construction.  `known` sets what the
-    reduction knows of it: `_pivots`, its pivot columns if it is in rref,
-    and `packed`, its packed GF(2) rows."""
+    reduction knows of it: its `rows` or, over GF(2), its `packed` rows
+    (the other form is derived on first read), and `_pivots`, its pivot
+    columns if it is in rref."""
     M = object.__new__(FqMatrix)
-    M.__dict__.update(field=field, rows=rows, ncols=ncols, **known)
+    M.__dict__.update(field=field, ncols=ncols, **known)
     return M
 
 
@@ -111,7 +124,7 @@ def from_packed(field: Field, packed, ncols: int) -> FqMatrix:
         raise BadRange(f"packed rows are GF(2) rows, not GF({field.q}) rows")
     if packed and (min(packed) < 0 or max(packed) >> ncols):
         raise BadRange(f"a packed row is not a row of {ncols} bits")
-    return _trusted(field, tuple(_unpack(v, ncols) for v in packed), ncols, packed=packed)
+    return _trusted(field, ncols, packed=packed)
 
 
 def _pack(row) -> int:
@@ -188,10 +201,9 @@ def rref(M: FqMatrix) -> tuple[FqMatrix, int, tuple[int, ...]]:
         return M, len(pivots), pivots
     if M.field.q == 2:
         packed, pivots = _rref_gf2(M.packed, M.ncols)
-        rows = tuple(_unpack(v, M.ncols) for v in packed)
-        return _trusted(M.field, rows, M.ncols, _pivots=pivots, packed=packed), len(pivots), pivots
+        return _trusted(M.field, M.ncols, packed=packed, _pivots=pivots), len(pivots), pivots
     reduced, pivots = _rref_gfq(M.field, [list(r) for r in M.rows], M.ncols)
-    return _trusted(M.field, tuple(map(tuple, reduced)), M.ncols, _pivots=pivots), len(pivots), pivots
+    return _trusted(M.field, M.ncols, rows=tuple(map(tuple, reduced)), _pivots=pivots), len(pivots), pivots
 
 
 def rank(M: FqMatrix) -> int:
@@ -254,9 +266,9 @@ def kernel(M: FqMatrix) -> FqMatrix:
         pivot_mask, rows = rref(M)[0]._pivot_rows
         free = [f for f in (1 << c for c in range(n)) if not f & pivot_mask]
         packed, pivots = _rref_gf2(tuple(f | sum(b for b, r in rows.items() if r & f) for f in free), n)
-        return _trusted(M.field, tuple(_unpack(v, n) for v in packed), n, _pivots=pivots, packed=packed)
+        return _trusted(M.field, n, packed=packed, _pivots=pivots)
     neg = M.field.tables()[2]
-    R, _, pivots = rref(_trusted(M.field, tuple(r[::-1] for r in M.rows), n))
+    R, _, pivots = rref(_trusted(M.field, n, rows=tuple(r[::-1] for r in M.rows)))
     free = sorted(set(range(n)) - set(pivots), reverse=True)  # original order ascending
     basis = []
     for fc in free:
@@ -265,7 +277,7 @@ def kernel(M: FqMatrix) -> FqMatrix:
         for row, pc in zip(R.rows, pivots):
             v[pc] = neg[row[fc]]
         basis.append(tuple(v[::-1]))
-    return _trusted(M.field, tuple(basis), n, _pivots=tuple(n - 1 - fc for fc in free))
+    return _trusted(M.field, n, rows=tuple(basis), _pivots=tuple(n - 1 - fc for fc in free))
 
 
 def transpose(M: FqMatrix) -> FqMatrix:

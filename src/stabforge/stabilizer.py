@@ -39,6 +39,7 @@ from .code import (
     DistanceResult,
     LinearCode,
     SymplecticCode,
+    _stack,
     as_additive,
     code_digest,
     dual,
@@ -49,7 +50,6 @@ from .code import (
     phi_inv_code,
     quad_ext,
     sum_code,
-    symplectic_code,
 )
 from .errors import (
     BadRule,
@@ -227,7 +227,10 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     """CSS construction from C1^perp_E contained in C2.
 
     The stabilizer is the block code (C1^perp | 0) + (0 | C2^perp), which the
-    nesting makes symplectic self-orthogonal.  For k > 0 its parameters
+    nesting makes symplectic self-orthogonal.  Stacked from the two rref
+    bases, it is in rref already, with C1^perp's pivots and then n plus
+    C2^perp's; it is built with those pivots recorded, so it is not reduced
+    again.  For k > 0 its parameters
     [[n, k1 + k2 - n, min(wt(C2 minus C1^perp), wt(C1 minus C2^perp))]]
     come from the two classical coset distances, walked once when C1 == C2.
     Purity pairs d with C1^perp and with C2^perp.  For k = 0 the block is
@@ -240,9 +243,7 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
         raise NotNested("C1^perp_E is not contained in C2")
     D2 = dual(C2, "euclidean")
     f = C1.field
-    rows = [tuple(r) + (0,) * n for r in D1.gen.rows]
-    rows += [(0,) * n + tuple(r) for r in D2.gen.rows]
-    block = symplectic_code(f, rows, half=n)
+    block = SymplecticCode(f, 2 * n, _stack(D1.basis, D2.basis, n))
     k = C1.k_dim + C2.k_dim - n
     tag = f"css(C1:{code_digest(C1)},C2:{code_digest(C2)})"
     if k == 0:

@@ -58,7 +58,7 @@ from stabforge.errors import (
 )
 from stabforge.gf import field_make, field_of_order
 
-from conftest import reed_muller_rows
+from conftest import EX512_ROWS, HAMMING74_ROWS, reed_muller_rows
 from test_fmatrix import PACKED_WIDTHS, _kernel_by_tables, _packed_cases
 
 
@@ -1305,6 +1305,29 @@ def test_sum_code(f2, hamming74, simplex73):
     assert S.gen.rows == hamming74.gen.rows
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_stack_keeps_each_form_and_records_pivots_of_disjoint_rref_bases(q):
+    """`_stack` puts A's rows over B's moved `shift` columns right, packed
+    over GF(2); two rref bases in disjoint columns stack to the rref of the
+    stack, its pivots recorded, and overlapping ones record no pivots."""
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        na, nb = rng.randrange(1, 6), rng.randrange(1, 6)
+        A, B = (linear_code(f, [[rng.randrange(q) for _ in range(m)] for _ in range(3)], m).basis for m in (na, nb))
+        for shift in range(max(0, na - nb), na + 2):
+            width = shift + nb
+            S = code._stack(A, B, shift)
+            assert S.ncols == width and ("rows" not in vars(S)) == (q == 2)
+            assert S.rows == (tuple(r + (0,) * (width - na) for r in A.rows)
+                              + tuple((0,) * shift + r for r in B.rows))
+            if shift < na:
+                assert S._pivots is None
+            else:
+                R, _, pivots = fmatrix.rref(fmatrix.FqMatrix(f, S.rows, width))
+                assert S._pivots == pivots and S == R
+
+
 def test_each_constructor_reduces_once(monkeypatch, tmp_path, f3, f4):
     rows4 = [(1, 2, 3, 0), (2, 3, 1, 0), (0, 1, 1, 1), (1, 3, 2, 1)]
     rows3 = [(1, 2, 0, 1), (2, 1, 0, 2), (0, 1, 1, 1)]
@@ -1379,3 +1402,80 @@ def test_parse_header_repeated_is_rejected():
 def test_parse_header_trailing_value_is_rejected():
     with pytest.raises(CodeFileError, match="<string>:2: expected 'length n'"):
         parse_code("field GF(2)\nlength 5 7\nkind linear\nrows\n")
+
+
+def _gf2_file(kind, length, lines, sep="\n"):
+    return sep.join(["field GF(2)", f"length {length}", f"kind {kind}", "rows", *lines]) + sep
+
+
+_GF2_FILE_ROWS = (("linear", 7, linear_code, HAMMING74_ROWS),
+                  ("symplectic", 5, symplectic_code, EX512_ROWS))
+
+
+def _respelled(row, i):
+    """Row i's entries in spellings int() reads as 0 and 1 but that are not
+    the single characters '0' and '1'."""
+    spell = (("00", "01"), ("+0", "+1"), ("0_0", "0_1"))
+    return " ".join(spell[(i + j) % 3][x] for j, x in enumerate(row))
+
+
+@pytest.mark.parametrize("style", ["single", "tabs", "comments", "crlf_bom", "spellings"])
+@pytest.mark.parametrize("kind, length, make, rows", _GF2_FILE_ROWS, ids=["linear", "symplectic"])
+def test_gf2_file_spellings_parse_as_the_code_of_their_rows(tmp_path, style, kind, length, make, rows):
+    """However a GF(2) row is spelled, the file is the code `linear_code` or
+    `symplectic_code` makes of the same rows: same basis, digest and dump."""
+    f2 = field_of_order(2)
+    lines = [" ".join(map(str, r)) for r in rows]
+    if style == "tabs":
+        lines = ["\t".join(map(str, r)) + "\t" for r in rows]
+    elif style == "comments":
+        lines = [x for line in lines for x in (line, "# between rows", "", "  # indented")]
+    elif style == "spellings":
+        lines = [_respelled(r, i) for i, r in enumerate(rows)]
+    if style == "crlf_bom":
+        path = tmp_path / "crlf.code"
+        path.write_bytes(b"\xef\xbb\xbf" + _gf2_file(kind, length, lines, "\r\n").encode())
+        got = load_code(path)
+    else:
+        got = parse_code(_gf2_file(kind, length, lines))
+    built = make(f2, rows, length)
+    assert type(got) is type(built) and got.basis == built.basis
+    assert code_digest(got) == code_digest(built) and dump_code(got) == dump_code(built)
+
+
+@pytest.mark.parametrize("kind, length, make, rows", _GF2_FILE_ROWS, ids=["linear", "symplectic"])
+def test_gf2_file_rows_of_single_bits_are_read_as_ints(monkeypatch, kind, length, make, rows):
+    """A GF(2) file as `dump_code` writes it packs no symbol row: each row of
+    single 0 and 1 tokens is read as its int.  A row spelled otherwise is
+    read as symbols, checked, and packed."""
+    text = dump_code(make(field_of_order(2), rows, length))
+    packs = []
+    pack = fmatrix._pack
+    monkeypatch.setattr(fmatrix, "_pack", lambda row: packs.append(row) or pack(row))
+    assert dump_code(parse_code(text)) == text and packs == []
+    lines = text.splitlines()
+    i = lines.index("rows") + 1
+    row = tuple(map(int, lines[i].split()))
+    lines[i] = _respelled(row, 0)
+    assert dump_code(parse_code("\n".join(lines))) == text and packs == [row]
+
+
+@pytest.mark.parametrize("kind, length, body, message", [
+    ("linear", 3, ["1 0 1", "0 2 1"], "f.code:6: row 2 has entries outside [0, 2)"),
+    ("linear", 3, ["1 0 1", "# between", "-1 0 1"], "f.code:7: row 2 has entries outside [0, 2)"),
+    ("linear", 3, ["1_0 1 0"], "f.code:5: row 1 has entries outside [0, 2)"),
+    ("linear", 3, ["1 0 1", "1 x 1"], "f.code:6: row entries must be integers"),
+    ("linear", 3, ["1 0 1", "", "1 0"], "f.code:7: row 2 has 2 entries, expected 3"),
+    ("linear", 3, ["1 0 1 1"], "f.code:5: row 1 has 4 entries, expected 3"),
+    ("linear", 3, ["1 0", "1 x 0"], "f.code:6: row entries must be integers"),
+    ("symplectic", 2, ["1 0 1 2"], "f.code:5: row 1 has entries outside [0, 2)"),
+    ("symplectic", 2, ["1 0 1 0", "1 0 1"], "f.code:6: row 2 has 3 entries, expected 4"),
+    ("symplectic", 2, ["1 0 1 0 1"], "f.code:5: row 1 has 5 entries, expected 4"),
+])
+def test_gf2_file_row_errors_keep_their_text(kind, length, body, message):
+    """A bad GF(2) row is named by file:line, with the text rows of every
+    field get; an entry that is not an integer is reported before any row
+    check."""
+    with pytest.raises(CodeFileError) as e:
+        parse_code(_gf2_file(kind, length, body), name="f.code")
+    assert str(e.value) == message

@@ -240,6 +240,22 @@ def test_matrix_passes_a_matrix_over_its_field_through():
 
 
 @pytest.mark.parametrize("width", PACKED_WIDTHS)
+def test_gf2_matrix_derives_its_other_form_on_first_read(width):
+    """A GF(2) matrix made from ints spells its rows only when they are
+    read, one made from rows packs them only when `packed` is read; `nrows`
+    reads neither, and both forms make equal, equally hashed matrices."""
+    rng = random.Random(width)
+    rows = tuple(tuple(rng.randrange(2) for _ in range(width)) for _ in range(5))
+    packed = tuple(map(fmatrix._pack, rows))
+    P, M = fmatrix.from_packed(F2, packed, width), FqMatrix(F2, rows, width)
+    assert P.nrows == M.nrows == 5 and "rows" not in vars(P) and "packed" not in vars(M)
+    assert P.rows == rows and M.packed == packed
+    assert P == M and hash(P) == hash(M)
+    R = rref(M)[0]
+    assert "rows" not in vars(R) and R.nrows == len(R.packed) and R == _rref_by_tables(M)[0]
+
+
+@pytest.mark.parametrize("width", PACKED_WIDTHS)
 def test_pack_round_trips_with_column_0_as_the_top_bit(width):
     rng = random.Random(width)
     rows = [(0,) * width, (1,) * width] + [tuple(rng.randrange(2) for _ in range(width)) for _ in range(50)]

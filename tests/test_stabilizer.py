@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from stabforge.code import (
     EXACT,
     LOWER_BOUND,
     additive_code,
+    code_digest,
     dual,
     hamming_weight,
     hull,
@@ -55,7 +57,7 @@ from stabforge.stabilizer import (
 from stabforge.code import DistanceResult
 from stabforge.statevec import GeneratorSet
 
-from conftest import even_weight_rows, reed_muller_rows
+from conftest import HAMMING74_ROWS, even_weight_rows, reed_muller_rows
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -307,6 +309,84 @@ def test_css_dual_is_c2_block_plus_c1_block(q):
             f, [tuple(r) + zero for r in C2.gen.rows] + [zero + tuple(r) for r in C1.gen.rows], half=n
         )
         assert css(C1, C2).dual == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_css_block_is_the_reduced_stack_of_the_dual_bases(monkeypatch, q):
+    """The block (C1^perp | 0) + (0 | C2^perp), stacked from the two rref
+    bases with their pivots recorded, is the code `symplectic_code` makes of
+    the same rows reduced from scratch; for k > 0, css eliminates no matrix
+    of the block's width."""
+    f = field_of_order(q)
+    rng = random.Random(100 + q)
+    widths = []
+    gf2, gfq = fmatrix._rref_gf2, fmatrix._rref_gfq
+    monkeypatch.setattr(fmatrix, "_rref_gf2", lambda rows, ncols: widths.append(ncols) or gf2(rows, ncols))
+    monkeypatch.setattr(fmatrix, "_rref_gfq", lambda fld, mat, ncols: widths.append(ncols) or gfq(fld, mat, ncols))
+    ks = set()
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        c2 = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(1, n + 1))]
+        d1 = [
+            [f.dot(coeffs, col) for col in zip(*c2)]
+            for coeffs in ([rng.randrange(q) for _ in c2] for _ in range(rng.randrange(1, n + 1)))
+        ]
+        C1, C2 = dual(linear_code(f, d1, n), "euclidean"), linear_code(f, c2, n)
+        if not any(map(any, d1)) and C2.k_dim == n:
+            continue  # both duals zero: the block is the zero code
+        widths.clear()
+        stab = css(C1, C2, budget=1 << 12)
+        ks.add(stab.params.k > 0)
+        if stab.params.k:
+            assert 2 * n not in widths
+        zero = (0,) * n
+        rows = ([tuple(r) + zero for r in dual(C1, "euclidean").basis.rows]
+                + [zero + tuple(r) for r in dual(C2, "euclidean").basis.rows])
+        want = symplectic_code(f, rows, half=n)
+        got = stab.code
+        assert type(got) is type(want) and got == want and got.k_dim == want.k_dim
+        assert got.basis == want.basis and got.basis._pivots == want.basis._pivots
+        assert code_digest(got) == code_digest(want)
+        if q == 2:
+            assert got.basis.packed == want.basis.packed
+    assert ks == {False, True}
+
+
+_GOLAY_GEN = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+
+
+def test_gf2_certificates_spell_no_basis_row(monkeypatch, tmp_path, capsys):
+    """`certify`, `css` and `aqc` on GF(2) files keep every basis, dual and
+    block packed: `fmatrix._unpack` spells only the walk's words, for its
+    exclusion tests and witnesses (`code._search`'s `unpack`)."""
+    ham = linear_code(F2, HAMMING74_ROWS)
+    golay = linear_code(F2, [(0,) * i + _GOLAY_GEN + (0,) * (11 - i) for i in range(12)])
+    paths = {}
+    for name, C in (("ham", ham), ("golay", golay), ("steane", css(ham, ham).code),
+                    ("golay_sym", css(golay, golay).code)):
+        paths[name] = str(tmp_path / f"{name}.code")
+        save_code(C, paths[name])
+    callers = []
+    spell = fmatrix._unpack
+
+    def spelling(v, ncols):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_filename == code_mod.__file__, frame.f_code.co_name))
+        return spell(v, ncols)
+
+    monkeypatch.setattr(fmatrix, "_unpack", spelling)
+    assert fmatrix.from_packed(F2, [5, 2], 3).rows == ((1, 0, 1), (0, 1, 0))
+    assert callers and (True, "unpack") not in callers  # a spelled row is seen
+    callers.clear()
+    for argv in (["certify", "--in", paths["steane"]],
+                 ["certify", "--in", paths["golay_sym"], "--budget", "16"],
+                 ["css", "--c1", paths["ham"], "--c2", paths["ham"]],
+                 ["css", "--c1", paths["golay"], "--c2", paths["golay"], "--budget", "16"],
+                 ["aqc", "--c1", paths["ham"], "--c2", paths["ham"]],
+                 ["aqc", "--c1", paths["golay"], "--c2", paths["golay"], "--budget", "16"]):
+        assert run(argv) == 0
+    assert capsys.readouterr().out.count("witness: ") >= 3
+    assert callers and set(callers) == {(True, "unpack")}
 
 
 def test_css_k0_uses_selfdual_convention(hamming74, simplex73):
