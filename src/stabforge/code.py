@@ -25,11 +25,13 @@ byte: `parse_code` reads a row of single 0 and 1 tokens straight as its
 int and packs a row spelled otherwise once it is checked; reductions,
 duals, sums and the CSS block (`_stack`) keep the ints, and a basis
 spells its symbol rows only when they are read.  A walked word's
-limbs map back to such an int, which `fmatrix` spells for an exclusion
-test or a witness.  Over other fields a word is one uint8 per symbol.
+limbs map back to such an int, which an exclusion test reduces as it is
+and `fmatrix` spells only for a witness.  Over other fields a word is one
+uint8 per symbol.
 The span is walked either whole or by layers t = 1, 2, ...: the rows are
 grouped by the qudit of their pivot, and layer t holds the messages
-nonzero on exactly t groups.  Such a word touches at least t qudits (t
+nonzero on exactly t groups, made by joining the tables of the words on
+ceil(t/2) and floor(t/2) groups.  Such a word touches at least t qudits (t
 positions for Hamming weight; ceil(t/2) and up over fields above 64
 elements, whose qudit pairs are not grouped), so once layers 1..t-1 are
 finished that is a proven floor, and a lightest word found below it is
@@ -52,6 +54,7 @@ from __future__ import annotations
 import codecs
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -492,10 +495,9 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     zero in every word, so the limbs, compared in order, compare the
     symbols in order: a packed key sorts as the symbol tuple does.
     Over any other field the column is one uint8 per symbol, added by XOR
-    in characteristic 2 and through the add table otherwise.  A block is
-    a run of prefix words, each added to every word of a table.  The
-    exhaustive walk's table is the span of the last rows, and the prefixes
-    stream over every message of the others.
+    in characteristic 2 and through the add table otherwise.  The
+    exhaustive walk's blocks add each message of the first rows to every
+    word of the span of the last rows, which fills at most a block.
 
     The layered walk groups the rows by the qudit of their pivot column
     (by the pivot column itself for plain Hamming weight), read from the
@@ -506,16 +508,18 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     exceed a block (q > 64) is every row its own group: a qudit may then
     hold two, and the bound drops to max(ceil(t/2), t - such qudits).
     Layer t holds the messages nonzero on exactly t groups,
-    e_t(q^|g_1| - 1, q^|g_2| - 1, ...) words.  Tables hold the words of
-    layers 0, 1, ..., s while each fits a block, ordered by last group,
-    each grown from the one before.  A layer t > s pairs every streamed
-    word on t - s groups whose first group is c with the table-s words
-    whose last group lies before c.  Once layers 1, ..., t - 1 are
-    finished every unvisited word weighs at least that bound, the floor:
-    a lightest word found below it is the exact distance, and no
-    unvisited word can tie it.  Layers are counted only up to the first t
-    with C(g, t) beyond what the layers may take, as layer t holds at
-    least C(g, t) words.
+    e_t(q^|g_1| - 1, q^|g_2| - 1, ...) words.  Table j holds layer j
+    ordered by last group.  Layer t is table ceil(t/2) joined with table
+    floor(t/2), and table j + 1 is table j joined with table 1: a join adds
+    each word of its second table to each word of its first whose last
+    group precedes the word's first group, so it makes each message once,
+    split into its first ceil(t/2) groups and the rest.  A table holds a
+    layer the walk has passed, so tables stay within `visited`.  Once
+    layers 1, ..., t - 1 are finished every unvisited word weighs at least
+    that bound, the floor: a lightest word found below it is the exact
+    distance, and no unvisited word can tie it.  Layers are counted only
+    up to the first t with C(g, t) beyond what the layers may take, as
+    layer t holds at least C(g, t) words.
 
     A layer t whose floor equals the best weight so far can only change
     the witness, to a word of that weight with a smaller key.  The key's
@@ -549,9 +553,11 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     The witness is the lexicographically smallest minimum-weight word
     outside B, whatever order the words are visited in: each block's
     lightest words are lexsorted and tested for exclusion in that order.
-    A word is compared with the best so far by its key, its column of W;
-    a packed key is unpacked to symbols only when the word is tested for
-    exclusion or kept as the witness.
+    Only words of the best weight or lighter are read, a tie only if its
+    first limb or symbol is at most the best word's.  A word is compared
+    with the best so far by its key, its column of W; a packed key is read
+    back as its `fmatrix` int for an exclusion test or the tie-layer
+    check, and spelled only as the witness.
     """
     field, gen, quantum_half, to_public = _weight_domain(C, wfn)
     q = field.q
@@ -576,19 +582,20 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
             split = per_half
         ones = _popcount
 
-        def unpack(key):
-            """The symbols of a packed word: its limbs read back as the
-            `fmatrix` int they were made from."""
+        def word(key):
+            """A packed word's `fmatrix` int: its limbs read back as the int
+            they were made from."""
             x = int.from_bytes(np.array(key, ">u8").tobytes(), "big") >> pad
-            if quantum_half:
-                x = x >> 64 * per_half << width | x & mask
-            return fmatrix._unpack(x, n)
+            return x >> 64 * per_half << width | x & mask if quantum_half else x
+
+        def unpack(key):
+            return fmatrix._unpack(word(key), n)
 
     else:
         rows = np.frombuffer(bytes(chain.from_iterable(basis.rows)), dtype=np.uint8).reshape(k, n)
         mults = mul_t[rows.T]
         # a uint8 symbol's sign is 1 when it is nonzero; a key is its symbols
-        ones, unpack = np.sign, tuple
+        ones, word, unpack = np.sign, tuple, tuple
 
     # mults[:, i, c] = c * row i, one word per column of `height` rows
     height = mults.shape[0]
@@ -607,7 +614,9 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
         nonlocal best_w, best_v
         X = W[:split] | W[split:] if split else W
         wts = ones(X).sum(axis=0, dtype=count)
-        live = np.nonzero((wts > 0) & (wts <= best_w))[0]
+        live = np.nonzero(wts - 1 < best_w)[0]  # nonzero: 0 - 1 wraps around in the unsigned count
+        if best_v is not None and len(live):  # a tie replaces the best word only with a smaller key
+            live = live[(wts[live] < best_w) | (W[0, live] <= best_v[0])]
         while len(live):
             lw = wts[live]
             v = lw.min()
@@ -616,7 +625,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
                 key = tuple(level[:, i].tolist())
                 if v == best_w and key >= best_v:
                     break
-                if exclude is None or not fmatrix.in_span(exclude.basis, unpack(key)):
+                if exclude is None or not fmatrix.in_span(exclude.basis, word(key)):
                     best_w, best_v = int(v), key
                     return
             live = live[lw > v]
@@ -682,32 +691,52 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
 
     # tables[j]: the words on j groups ordered by last group, with their
     # first and last groups; the empty message starts after every group
-    tables = [(zero, np.array([g]), np.array([-1]))]
-    if layers[1] <= _BLOCK:
-        group = np.repeat(np.arange(g), size)
-        tables.append((np.concatenate(sym, axis=1), group, group))
+    group = np.repeat(np.arange(g), size)
+    tables = [(zero, np.array([g]), np.array([-1])), (np.concatenate(sym, axis=1), group, group)]
+    by_first = {j: tables[j][:2] for j in (0, 1)}  # j: table j's words and first groups, by first group
+
+    def join(a, b):
+        """Each word of table a plus each word of table b whose first group
+        follows its last group.  Read in first-group order, table-b word i
+        takes a prefix of table a, m[i] words long.  Returns m and the sums
+        in that order, in blocks of at most _BLOCK words: the whole table-b
+        words from c on that fit a block.  Those that share c's prefix are
+        one broadcast add if they fill half the block or all of it, and a
+        block of mixed prefixes is one repeat, one take and one add."""
+        if b not in by_first:
+            T, first, _ = tables[b]
+            order = np.argsort(first, kind="stable")
+            by_first[b] = T[:, order], first[order]
+        H, first = by_first[b]
+        L, _, last = tables[a]
+        m = np.searchsorted(last, first)
+        start = m.cumsum() - m
+        ms, ends = m.tolist(), (start + m).tolist()
+
+        def runs():
+            c = bisect_right(ms, 0)  # the first table-b word that takes any
+            while c < len(ms):
+                s = ends[c] - ms[c]
+                e = bisect_right(ends, s + _BLOCK, c)  # the table-b words from c that fit a block
+                f = max(c + 1, min(e, bisect_right(ms, ms[c], c)))  # those sharing c's prefix, or c
+                if f == e or 2 * (ends[f - 1] - s) >= _BLOCK:  # a prefix beyond a block, in parts
+                    for j in range(0, ms[c], _BLOCK):
+                        yield plus(H[:, c:f, None], L[:, None, j : min(j + _BLOCK, ms[c])]).reshape(height, -1)
+                    c = f
+                else:
+                    at = np.arange(ends[e - 1] - s) - np.repeat(start[c:e] - s, m[c:e])  # in table a
+                    yield plus(L.take(at, axis=1), np.repeat(H[:, c:e], m[c:e], axis=1))
+                    c = e
+
+        return m, runs()
 
     def grow():
-        """Append the next table: each word of the last one, plus each
-        nonzero word of each group after its last group."""
-        T, first, last = tables[-1]
-        m = np.searchsorted(last, np.arange(g))  # words of T before each group
-        made = m * size  # new words ending in each group
-        parts = [plus(T[:, : m[c], None], sym[c][:, None, :]).reshape(height, -1) for c in range(g) if m[c]]
-        within = np.arange(made.sum()) - np.repeat(made.cumsum() - made, made)
-        source = within // np.repeat(size, made)  # the word of T each new word extends
-        tables.append((np.concatenate(parts, axis=1), first[source], np.repeat(np.arange(g), made)))
-
-    def high(r, c):
-        """Words of the messages on r groups whose first group is c, in blocks."""
-        if r == 0:
-            return [tables[0][0]]
-        if r - 1 < len(tables):
-            T, first, _ = tables[r - 1]
-            rest = [T[:, first > c]]
-        else:
-            rest = (W for e in range(c + 1, g) for W in high(r - 1, e))
-        return blocks(rest, sym[c])
+        """Append the next table: the last one joined with table 1, whose
+        words are ordered by their one group, so the sums come by last group."""
+        m, runs = join(len(tables) - 1, 1)
+        first, group = tables[-1][1], tables[1][1]
+        within = np.arange(m.sum()) - np.repeat(m.cumsum() - m, m)  # each sum's table-a word
+        tables.append((np.concatenate(list(runs), axis=1), first[within], np.repeat(group, m)))
 
     def decided(t):
         """Whether layer t holds no word that can replace the best one: it
@@ -715,21 +744,18 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
         best word's leading row, whose pivot is its first nonzero column."""
         if best_w != floors[t]:
             return False
-        lead = pivots.index(next(c for c, x in enumerate(unpack(best_v)) if x))
+        x = word(best_v)  # column 0 is an int's top bit
+        lead = pivots.index(n - x.bit_length() if q == 2 else next(c for c, y in enumerate(x) if y))
         return sum(idx[-1] >= lead for idx in groups) < t
 
     stop = n + 2 if target is None else target  # no floor exceeds g + 1 <= n + 1
     visited, t = 0, 1
     while t <= g and best_w >= floors[t] and floors[t] < stop and visited + layers[t] <= cap:
         if not decided(t):
-            while len(tables) <= t and layers[len(tables)] <= _BLOCK:
+            while len(tables) <= -(-t // 2):
                 grow()
-            s = len(tables) - 1  # low groups from a table, the r high ones streamed
-            T, _, last = tables[s]
-            r = t - s
-            for c in range(s, g - r + 1) if r else (g,):
-                for W in blocks(high(r, c), T[:, : np.searchsorted(last, c)]):
-                    consider(W)
+            for W in join(-(-t // 2), t // 2)[1]:
+                consider(W)
         visited += layers[t]
         t += 1
     if t > g or best_w < floors[t] or decided(t):

@@ -231,11 +231,14 @@ def reduce_against(R: FqMatrix, v) -> tuple[int, ...]:
 
 
 def in_span(R: FqMatrix, v) -> bool:
-    """Whether v lies in the row space of R."""
+    """Whether v lies in the row space of R.  Over GF(2) v may be a row or
+    its packed int, which is reduced as it is."""
     if R.field.q == 2:
         R = rref(R)[0]
-        _check_width(R, len(v))
-        return not _reduce_gf2(_pack(v), *R._pivot_rows)
+        if not isinstance(v, int):
+            _check_width(R, len(v))
+            v = _pack(v)
+        return not _reduce_gf2(v, *R._pivot_rows)
     return not any(reduce_against(R, v))
 
 

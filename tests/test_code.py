@@ -936,8 +936,9 @@ def test_search_matches_brute_force_when_every_span_tries_layers(monkeypatch):
 
 
 def test_search_matches_brute_force_with_tiny_blocks(monkeypatch):
-    """Blocks of four words: few layers fit a table, so a layer's streamed
-    words on several groups are built from streams on fewer groups."""
+    """Blocks of four words: a join's blocks hold one or two table-b words,
+    most prefixes of the ceil(t/2)-group table exceed a block and come in
+    parts, and every table exceeds a block."""
     monkeypatch.setattr(code, "_BLOCK", 4)
     monkeypatch.setattr(code, "_SMALL_SPAN", 0)
     monkeypatch.setattr(code, "_LAYERED_COST", 2)
@@ -945,11 +946,11 @@ def test_search_matches_brute_force_with_tiny_blocks(monkeypatch):
 
 
 def test_search_matches_brute_force_on_deep_layers(monkeypatch):
-    """Distances beyond the layers that fit a table: with blocks of 150
-    words only layers 0-2 are tables, so layers 3-7 stream words on up to
-    five groups, from a table's subset or from shorter streams.  The cyclic
-    Golay [23,12,7] code has twelve single-row groups; the symplectic code
-    of six Golay shifts on each side has six qudit pairs and distance 7."""
+    """Distances at deep layers with blocks of 150 words: layer t joins the
+    tables of ceil(t/2) and floor(t/2) groups, which exceed a block from
+    three groups on, so layers 3-7 come in many blocks.  The cyclic Golay
+    [23,12,7] code has twelve single-row groups; the symplectic code of six
+    Golay shifts on each side has six qudit pairs and distance 7."""
     monkeypatch.setattr(code, "_BLOCK", 150)
     rng = random.Random(23)
     f2 = field_of_order(2)
@@ -963,6 +964,40 @@ def test_search_matches_brute_force_on_deep_layers(monkeypatch):
         _check_against_brute_force(A, wfn, 1000)
         for target in (5, 7):
             _check_against_brute_force(A, wfn, 2**12 - 2, target=target)
+
+
+@pytest.mark.parametrize("block", [150, 50])
+def test_search_matches_brute_force_when_joins_split_prefixes(monkeypatch, block):
+    """Layer t joins the tables of ceil(t/2) and floor(t/2) groups, each
+    table-b word taking a prefix of the first table.  The extended Golay
+    [24,12,8] code at a budget of its layers 1-7 walks all seven (only
+    layer 8 ties its rows' weight 8), and layer 7 joins its 495 four-group
+    words with its 220 three-group words: the four-group table exceeds a
+    block, and with blocks of 50 words the 126-word prefix of the
+    three-group words starting at group 9 comes in parts.  Every block the
+    weight pass reads holds at most `block` words, and the blocks hold the
+    walked layers' words, each once."""
+    monkeypatch.setattr(code, "_BLOCK", block)
+    widths = []
+    popcount = code._popcount
+
+    def counting(x):
+        widths.append(x.shape[1])
+        return popcount(x)
+
+    monkeypatch.setattr(code, "_popcount", counting)
+    f2 = field_of_order(2)
+    g = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+    L = linear_code(f2, [(0,) * i + g + (0,) * (11 - i) + (1,) for i in range(12)])
+    layers = sum(math.comb(12, t) for t in range(1, 8))
+    assert math.comb(12, 4) > block and math.comb(9, 4) > 2 * 50
+    r = min_weight(L, budget=layers)
+    assert (r.value, r.status, r.visited) == (8, EXACT, layers)
+    assert max(widths) <= block and sum(widths) == layers
+    widths.clear()
+    _check_against_brute_force(L, "hamming", layers)
+    _check_against_brute_force(L, "hamming", layers, _subcode(L, random.Random(7)))
+    assert max(widths) <= block
 
 
 @pytest.mark.parametrize("popcount", ["native", "swar"])
@@ -1071,9 +1106,9 @@ def test_search_matches_brute_force_where_a_tie_layer_is_decided(monkeypatch):
 
 
 def test_search_finds_planted_words_at_layer_edges(monkeypatch):
-    """A light word whose message support ends a table slice, or starts the
-    last prefix, is found: layered walks split each layer into prefixes
-    and table slices, and a missed slice would lose it."""
+    """A light word whose message support ends a table's prefix, or starts
+    the last table-b word of a join, is found: a layer is a join of two
+    tables cut into blocks, and a missed prefix or block would lose it."""
     rng = random.Random(9)
 
     def planted(field, k, extra, support):
@@ -1088,21 +1123,21 @@ def test_search_finds_planted_words_at_layer_edges(monkeypatch):
         return linear_code(field, rows), tuple(int(i in support) for i in range(k)) + (0,) * extra
 
     f2, f16, f256 = (field_of_order(q) for q in (2, 16, 256))
-    layers = sum(math.comb(16, t) for t in range(1, 6))  # t = 5 splits as 1 + 4
+    layers = sum(math.comb(16, t) for t in range(1, 6))  # t = 5 joins 3 groups with 2
     for support in ((11, 12, 13, 14, 15), (0, 1, 2, 3, 4), (0, 12, 13, 14, 15), (10, 11, 12, 14, 15)):
         C, word = planted(f2, 16, 40, support)
         r = min_weight(C, budget=layers)
         assert (r.value, r.status, r.witness, r.visited) == (5, EXACT, word, layers)
-    for support in ((1, 2, 3), (0, 2, 3)):  # GF(16), k = 4: t = 3 splits as 1 + 2
+    for support in ((1, 2, 3), (0, 2, 3)):  # GF(16), k = 4: t = 3 joins 2 groups with 1
         C, word = planted(f16, 4, 8, support)
         r = min_weight(C, budget=16**4 - 2)
         assert (r.value, r.status, r.witness) == (3, EXACT, word)
-    C, word = planted(f256, 17, 3, (16,))  # GF(256), k = 17: no table fits a block
+    C, word = planted(f256, 17, 3, (16,))  # GF(256), k = 17: table 1 exceeds a block
     r = min_weight(C, budget=17 * 255)
     assert (r.value, r.status, r.witness, r.visited) == (1, EXACT, word, 17 * 255)
-    # blocks of 150 words: layer 5 pairs the two-group table with streamed
-    # words on three groups, each a word of group c plus a two-group table
-    # word whose first group follows c
+    # blocks of 150 words: layer 5 joins the 560 three-group words with the
+    # 120 two-group words, each taking the three-group words that end before
+    # its first group, and the 6,188 sums come in blocks of at most 150
     monkeypatch.setattr(code, "_BLOCK", 150)
     for support in ((11, 12, 13, 14, 15), (0, 1, 2, 3, 4), (0, 12, 13, 14, 15), (10, 11, 12, 14, 15), (2, 5, 7, 9, 13)):
         C, word = planted(f2, 16, 40, support)
@@ -1111,10 +1146,13 @@ def test_search_finds_planted_words_at_layer_edges(monkeypatch):
 
 
 def test_search_memory_stays_within_blocks():
-    """Neither a finished layer nor the whole span is ever materialized:
+    """Neither a layer being walked nor the whole span is ever materialized:
     [80,40] at 2^20 visits about 7.6e5 words (about 60 MB as bytes), and
     [48,20] visits all 2^20 - 1 words (about 48 MB) after layers 1-6, the
-    most that fit 1/16 of the span: they prove 7, short of its distance 9."""
+    most that fit 1/16 of the span: they prove 7, short of its distance 9.
+    The tables of up to ceil(t/2) groups that layer t joins stay small:
+    each holds a layer the walk has already finished (9,880 words on three
+    groups for [80,40], whose layer 5 has 658,008)."""
     rng = random.Random(5)
     f2 = field_make(2, 1)
     for (n, k), budget in (((80, 40), 1 << 20), ((48, 20), 1 << 20)):

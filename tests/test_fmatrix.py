@@ -283,7 +283,8 @@ def _reduce_by_tables(R, pivots, v):
 def test_gf2_packed_membership_matches_the_table_reduction(width):
     """in_span, reduce_against and is_subcode XOR packed rows; they must
     agree with the table reduction and with ranks, for members (sums of
-    basis rows) and non-members alike."""
+    basis rows) and non-members alike.  in_span takes a row's packed int
+    as well."""
     rng = random.Random(width)
     for r in (0, 1, width // 3, width):
         A = linear_code(F2, [[int(rng.random() < 0.4) for _ in range(width)] for _ in range(r)], n=width)
@@ -295,7 +296,7 @@ def test_gf2_packed_membership_matches_the_table_reduction(width):
         for v in members + others:
             residue = _reduce_by_tables(R, piv, v)
             assert reduce_against(R, v) == residue
-            assert in_span(R, v) == (not any(residue))
+            assert in_span(R, v) == in_span(R, fmatrix._pack(v)) == (not any(residue))
         assert all(in_span(R, v) for v in members)
         assert A.k_dim == width or not all(in_span(R, v) for v in others)
         for k in (1, 2, 3):

@@ -357,8 +357,9 @@ _GOLAY_GEN = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
 
 def test_gf2_certificates_spell_no_basis_row(monkeypatch, tmp_path, capsys):
     """`certify`, `css` and `aqc` on GF(2) files keep every basis, dual and
-    block packed: `fmatrix._unpack` spells only the walk's words, for its
-    exclusion tests and witnesses (`code._search`'s `unpack`)."""
+    block packed, and `code._search` spells nothing but its witnesses:
+    exclusion tests and the tie-layer check read a walked word's packed
+    int, so `fmatrix._unpack` runs once per walk that returns a witness."""
     ham = linear_code(F2, HAMMING74_ROWS)
     golay = linear_code(F2, [(0,) * i + _GOLAY_GEN + (0,) * (11 - i) for i in range(12)])
     paths = {}
@@ -378,6 +379,15 @@ def test_gf2_certificates_spell_no_basis_row(monkeypatch, tmp_path, capsys):
     assert fmatrix.from_packed(F2, [5, 2], 3).rows == ((1, 0, 1), (0, 1, 0))
     assert callers and (True, "unpack") not in callers  # a spelled row is seen
     callers.clear()
+    witnesses = []
+    search = code_mod._search
+
+    def searching(*args, **kwargs):
+        r = search(*args, **kwargs)
+        witnesses.append(r.witness is not None)
+        return r
+
+    monkeypatch.setattr(code_mod, "_search", searching)
     for argv in (["certify", "--in", paths["steane"]],
                  ["certify", "--in", paths["golay_sym"], "--budget", "16"],
                  ["css", "--c1", paths["ham"], "--c2", paths["ham"]],
@@ -387,6 +397,7 @@ def test_gf2_certificates_spell_no_basis_row(monkeypatch, tmp_path, capsys):
         assert run(argv) == 0
     assert capsys.readouterr().out.count("witness: ") >= 3
     assert callers and set(callers) == {(True, "unpack")}
+    assert len(callers) == sum(witnesses) and len(witnesses) > sum(witnesses)
 
 
 def test_css_k0_uses_selfdual_convention(hamming74, simplex73):
