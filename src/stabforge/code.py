@@ -16,18 +16,12 @@ and both trace pairings are one 2 x 2 matrix per qudit on (a|b)
 coordinates, so their duals are one kernel.
 
 Minimum weights come from one search over every field (`_search`).  It
-walks a code's span in numpy blocks of at most _BLOCK codewords.  Over
-GF(2) a word is a column of 64-bit limbs, each half (a and b, for quantum
-weight) packed on its own from the top bit down, so words add by XOR,
-weigh by popcount and compare as their symbols do; a basis row's limbs
-are the bytes of its `fmatrix` int.  A GF(2) code is packed from the first
-byte: `parse_code` reads a row of single 0 and 1 tokens straight as its
-int and packs a row spelled otherwise once it is checked; reductions,
-duals, sums and the CSS block (`_stack`) keep the ints, and a basis
-spells its symbol rows only when they are read.  A walked word's
-limbs map back to such an int, which an exclusion test reduces as it is
-and `fmatrix` spells only for a witness.  Over other fields a word is one
-uint8 per symbol.
+walks a code's span in numpy blocks of at most _BLOCK codewords, stored in
+the one word layout of each field that `_layout` describes.  A GF(2) code
+is packed from the first byte: `parse_code` reads a row of single 0 and 1
+tokens straight as its int and packs a row spelled otherwise once it is
+checked; reductions, duals, sums and the CSS block (`_stack`) keep the
+ints, and a basis spells its symbol rows only when they are read.
 The span is walked either whole or by layers t = 1, 2, ...: the rows are
 grouped by the qudit of their pivot, and layer t holds the messages
 nonzero on exactly t groups, made by joining the tables of the words on
@@ -473,6 +467,69 @@ class DistanceResult:
         return self.status == EXACT
 
 
+def _layout(field: Field, basis: FqMatrix, quantum_half: int):
+    """How `_search` stores the words of the span of the rref `basis` over
+    `field`: the one part of the walk that depends on the field.  A word is
+    a column W of a numpy block, with halves W[:split] and W[split:] (a and
+    b for quantum weight; split is 0 for Hamming weight).
+
+    Over GF(2) the column is uint64 limbs, each half packed on its own in
+    `fmatrix`'s bit order, its column 0 the top bit of its first limb.  A
+    basis row's limbs come from its int in `basis.packed`: each half is
+    shifted to end its last limb, and the bytes of all rows are read as
+    big-endian uint64 at once.  Words add by XOR and weigh by popcount.  A
+    half's padding bits are zero in every word, so the limbs, compared in
+    order, compare the symbols in order.  Over any other field the column
+    is one uint8 per symbol, added by XOR in characteristic 2 and through
+    the add table otherwise, and weighed by its nonzero symbols.
+
+    Returns (mults, split, plus, ones, word, lead, unpack): mults[:, i, c]
+    is c times row i; plus adds words as numpy broadcasts; ones(X), X =
+    W[:split] | W[split:] (W for split 0), sums over a column to its weight.
+    A key, a word's column as a tuple, sorts as its symbols do.  word(key)
+    is the word as `fmatrix` reads it, over GF(2) its limbs read back as
+    one int with its halves joined; lead(key) is its first nonzero column
+    and unpack(key) its symbols.
+    """
+    k, n = basis.nrows, basis.ncols
+    if field.q != 2:
+        add_t, mul_t = field.np_tables()
+        add_flat, q = add_t.ravel(), field.q
+        rows = np.frombuffer(bytes(chain.from_iterable(basis.rows)), dtype=np.uint8).reshape(k, n)
+
+        def plus(a, b):  # a * q + b < q^2 <= 251^2 < 2^16, as no larger odd q is supported
+            return add_flat.take(a.astype(np.uint16) * q + b)
+
+        def lead(key):
+            return next(c for c, y in enumerate(key) if y)
+
+        # a uint8 symbol's sign is 1 when it is nonzero; a key is its symbols
+        return mul_t[rows.T], quantum_half, np.bitwise_xor if field.p == 2 else plus, np.sign, tuple, lead, tuple
+    width = quantum_half or n
+    per_half = -(-width // 64)
+    pad, mask = 64 * per_half - width, (1 << width) - 1
+    ints = basis.packed
+    if quantum_half:  # the b half starts a limb of its own
+        ints = [v >> width << 64 * per_half | v & mask for v in ints]
+    nbytes = 8 * per_half * (2 if quantum_half else 1)
+    data = b"".join((v << pad).to_bytes(nbytes, "big") for v in ints)
+    limbs = np.frombuffer(data, ">u8").reshape(k, -1)
+    mults = np.zeros((limbs.shape[1], k, 2), dtype=np.uint64)
+    mults[:, :, 1] = limbs.T
+
+    def word(key):
+        x = int.from_bytes(np.array(key, ">u8").tobytes(), "big") >> pad
+        return x >> 64 * per_half << width | x & mask if quantum_half else x
+
+    def lead(key):
+        return n - word(key).bit_length()  # column 0 is an int's top bit
+
+    def unpack(key):
+        return fmatrix._unpack(word(key), n)
+
+    return mults, per_half if quantum_half else 0, np.bitwise_xor, _popcount, word, lead, unpack
+
+
 def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, target=None) -> DistanceResult:
     """Minimum `wfn` weight over the nonzero words of C outside B = `exclude`.
 
@@ -481,21 +538,8 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     words walked: a layered attempt and then the exhaustive walk both
     count, and the witness is mapped back to a codeword of C.
 
-    A word is a column of a block of at most _BLOCK words.  Over GF(2) the
-    column is uint64 limbs: each half, a and b for quantum weight or the
-    whole word for Hamming weight, is packed on its own in `fmatrix`'s bit
-    order, its column 0 the top bit of its first limb.  A basis row's limbs
-    come from its packed int in `basis.packed`: each half is shifted to end
-    its last limb, and the bytes of all rows are read as big-endian uint64
-    at once.  Read back as one big-endian int, shifted down and with its
-    halves joined again, a word's limbs are its `fmatrix` int, which
-    `fmatrix._unpack` spells.  Words add by XOR, and a
-    word's weight is the popcount of W[:split] | W[split:] (of W, for
-    Hamming weight) summed over its limbs.  A half's padding bits are
-    zero in every word, so the limbs, compared in order, compare the
-    symbols in order: a packed key sorts as the symbol tuple does.
-    Over any other field the column is one uint8 per symbol, added by XOR
-    in characteristic 2 and through the add table otherwise.  The
+    A word is a column of a block of at most _BLOCK words, laid out as
+    `_layout` describes; nothing else here depends on the field.  The
     exhaustive walk's blocks add each message of the first rows to every
     word of the span of the last rows, which fills at most a block.
 
@@ -555,58 +599,15 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     lightest words are lexsorted and tested for exclusion in that order.
     Only words of the best weight or lighter are read, a tie only if its
     first limb or symbol is at most the best word's.  A word is compared
-    with the best so far by its key, its column of W; a packed key is read
-    back as its `fmatrix` int for an exclusion test or the tie-layer
-    check, and spelled only as the witness.
+    with the best so far by its key, its column of W; an exclusion test
+    reads the key's `word`, and only the witness is spelled (`unpack`).
     """
     field, gen, quantum_half, to_public = _weight_domain(C, wfn)
     q = field.q
-    add_t, mul_t = field.np_tables()
     basis, k, pivots = fmatrix.rref(gen)
     n = basis.ncols
-    width, split = quantum_half or n, quantum_half  # a word's halves are W[:split], W[split:]
-    if q == 2:
-        # each half of a packed row, shifted to end its last limb, is read as
-        # big-endian limbs; a limb's nonzero symbols are its set bits
-        per_half = -(-width // 64)
-        pad, mask = 64 * per_half - width, (1 << width) - 1
-        ints = basis.packed
-        if quantum_half:  # the b half starts a limb of its own
-            ints = [v >> width << 64 * per_half | v & mask for v in ints]
-        nbytes = 8 * per_half * (2 if quantum_half else 1)
-        data = b"".join((v << pad).to_bytes(nbytes, "big") for v in ints)
-        limbs = np.frombuffer(data, ">u8").reshape(k, -1)
-        mults = np.zeros((limbs.shape[1], k, 2), dtype=np.uint64)
-        mults[:, :, 1] = limbs.T
-        if quantum_half:
-            split = per_half
-        ones = _popcount
-
-        def word(key):
-            """A packed word's `fmatrix` int: its limbs read back as the int
-            they were made from."""
-            x = int.from_bytes(np.array(key, ">u8").tobytes(), "big") >> pad
-            return x >> 64 * per_half << width | x & mask if quantum_half else x
-
-        def unpack(key):
-            return fmatrix._unpack(word(key), n)
-
-    else:
-        rows = np.frombuffer(bytes(chain.from_iterable(basis.rows)), dtype=np.uint8).reshape(k, n)
-        mults = mul_t[rows.T]
-        # a uint8 symbol's sign is 1 when it is nonzero; a key is its symbols
-        ones, word, unpack = np.sign, tuple, tuple
-
-    # mults[:, i, c] = c * row i, one word per column of `height` rows
+    mults, split, plus, ones, word, lead, unpack = _layout(field, basis, quantum_half)
     height = mults.shape[0]
-    if field.p == 2:
-        plus = np.bitwise_xor
-    else:
-        add_flat = add_t.ravel()
-
-        def plus(a, b):  # a + b = add_flat[a * q + b], below 2^16 for odd q <= 243
-            return add_flat.take(a.astype(np.uint16) * q + b)
-
     count = np.uint8 if n < 255 else np.uint16
     best_w, best_v = n + 1, None  # best_v: the witness's key, its column of W as a tuple
 
@@ -744,9 +745,8 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
         best word's leading row, whose pivot is its first nonzero column."""
         if best_w != floors[t]:
             return False
-        x = word(best_v)  # column 0 is an int's top bit
-        lead = pivots.index(n - x.bit_length() if q == 2 else next(c for c, y in enumerate(x) if y))
-        return sum(idx[-1] >= lead for idx in groups) < t
+        row = pivots.index(lead(best_v))
+        return sum(idx[-1] >= row for idx in groups) < t
 
     stop = n + 2 if target is None else target  # no floor exceeds g + 1 <= n + 1
     visited, t = 0, 1

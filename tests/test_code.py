@@ -904,6 +904,8 @@ def _check_against_brute_force(A, wfn, budget, B=None, target=None):
 
 def _check_random_cases_against_brute_force(rng):
     shapes = {2: (8, 12), 3: (5, 8), 4: (4, 6), 5: (3, 6), 7: (3, 5), 8: (3, 5), 9: (2, 4), 16: (2, 4), 256: (1, 3)}
+    # the odd orders whose add-table index a * q + b reaches furthest, drawn last
+    shapes |= {27: (2, 4), 243: (1, 3), 251: (1, 3)}
     for q, (kmax, nmax) in shapes.items():
         kinds = ["hamming", "quantum"] + (["additive"] if q in (4, 9, 16, 256) else [])
         for kind in kinds:
@@ -1008,12 +1010,19 @@ def test_search_matches_brute_force_at_limb_boundaries(monkeypatch, layers, popc
     code of length 65 end a half just before, at and after a limb
     boundary; the rows' ones crowd the boundaries, so lightest words and
     their lexicographic ties straddle limbs.  With `layers` every span
-    tries layers first; "swar" runs the popcount numpy 1.x falls back to."""
+    tries layers first; "swar" runs the popcount numpy 1.x falls back to,
+    and counts its calls: the walks must read `_popcount` when they run."""
     if layers:
         monkeypatch.setattr(code, "_SMALL_SPAN", 0)
         monkeypatch.setattr(code, "_LAYERED_COST", 2)
+    swar_calls = []
+
+    def swar(x):
+        swar_calls.append(x.shape)
+        return code._swar_popcount(x)
+
     if popcount == "swar":
-        monkeypatch.setattr(code, "_popcount", code._swar_popcount)
+        monkeypatch.setattr(code, "_popcount", swar)
     rng = random.Random(64)
     f2, f4 = field_of_order(2), field_of_order(4)
 
@@ -1032,6 +1041,7 @@ def test_search_matches_brute_force_at_limb_boundaries(monkeypatch, layers, popc
                 _check_against_brute_force(A, wfn, budget, B)
         for target in (2, 4):
             _check_against_brute_force(A, wfn, span, target=target)
+    assert bool(swar_calls) == (popcount == "swar")
 
 
 def test_swar_popcount_counts_every_bit():
@@ -1040,6 +1050,55 @@ def test_swar_popcount_counts_every_bit():
     got = code._swar_popcount(np.array(words, dtype=np.uint64))
     assert got.dtype == np.uint64
     assert got.tolist() == [bin(x).count("1") for x in words]
+
+
+def _layout_cases(rng):
+    """Codes whose enumeration domains cover every word layout: GF(2) words
+    ending a half just before, at and after a limb boundary, symbols over
+    characteristic 2 and odd characteristic up to the largest odd order,
+    and additive codes, walked over their subfield with quantum halves."""
+    cases = [(_random_case(2, "hamming", 6, n, rng), "hamming") for n in (63, 64, 65)]
+    cases += [(_random_case(2, "quantum", 6, 2 * h, rng), "quantum") for h in (31, 32, 33)]
+    for q in (3, 4, 8, 9, 16, 27, 243, 251, 256):
+        cases += [(_random_case(q, "hamming", 3, 7, rng), "hamming"), (_random_case(q, "quantum", 3, 8, rng), "quantum")]
+    return cases + [(_random_case(q, "additive", 4, 10, rng), "hamming") for q in (4, 16)]
+
+
+def test_layout_keeps_its_contract_over_every_field():
+    """`_layout` is all `_search` knows of a field.  Each multiple of a
+    basis row unpacks to that multiple; words add as their symbols do,
+    weigh as the weight function does and sort as their symbol tuples do;
+    a key leads with its first nonzero column, and its word is in the span."""
+    rng = random.Random(27)
+    for A, wfn in _layout_cases(rng):
+        field, gen, half, _ = _weight_domain(A, wfn)
+        basis, k, _ = fmatrix.rref(gen)
+        mults, split, plus, ones, word, lead, unpack = code._layout(field, basis, half)
+        weight = quantum_weight if half else hamming_weight
+        for i, row in enumerate(basis.rows):
+            for c in range(mults.shape[2]):
+                assert unpack(tuple(mults[:, i, c].tolist())) == tuple(field.mul(c, x) for x in row)
+        words = []
+        for _ in range(40):  # random messages, summed row by row
+            W, v = mults[:, 0, 0], (0,) * basis.ncols
+            for i, row in enumerate(basis.rows):
+                c = rng.randrange(mults.shape[2])
+                W, v = plus(W, mults[:, i, c]), tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, row))
+            words.append((W, v))
+        for (W, v), (U, u) in zip(words, words[1:]):
+            assert unpack(tuple(plus(W, U).tolist())) == tuple(field.add(x, y) for x, y in zip(v, u))
+        block = np.stack([W for W, _ in words], axis=1)
+        assert block.dtype == mults.dtype
+        X = block[:split] | block[split:] if split else block
+        assert ones(X).sum(axis=0).tolist() == [weight(v) for _, v in words]
+        keys = [tuple(W.tolist()) for W, _ in words]
+        assert [unpack(key) for key in keys] == [v for _, v in words]
+        assert sorted(keys) == sorted(keys, key=unpack)
+        for key, (_, v) in zip(keys, words):
+            assert fmatrix.in_span(basis, word(key))
+            if any(v):
+                assert lead(key) == next(c for c, x in enumerate(v) if x)
+        assert len(set(keys)) > 10, (A, wfn)
 
 
 def test_search_matches_brute_force_across_blocks():
