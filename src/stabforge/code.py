@@ -22,25 +22,10 @@ is packed from the first byte: `parse_code` reads a row of single 0 and 1
 tokens straight as its int and packs a row spelled otherwise once it is
 checked; reductions, duals, sums and the CSS block (`_stack`) keep the
 ints, and a basis spells its symbol rows only when they are read.
-The span is walked either whole or by layers t = 1, 2, ...: the rows are
-grouped by the qudit of their pivot, and layer t holds the messages
-nonzero on exactly t groups, made by joining the tables of the words on
-ceil(t/2) and floor(t/2) groups.  Such a word touches at least t qudits (t
-positions for Hamming weight; ceil(t/2) and up over fields above 64
-elements, whose qudit pairs are not grouped), so once layers 1..t-1 are
-finished that is a proven floor, and a lightest word found below it is
-the exact distance: the walk stops there.
-A layer whose floor ties the lightest word so far is skipped when fewer
-groups than its t hold a row at or after that word's leading row: each of
-its words then uses an earlier row, and sorts after the word.
-A span beyond the budget walks layers while they fit and otherwise returns
-the floor as a lower bound; a larger span within it walks layers while
-they add up to at most 1/_LAYERED_COST of the span, and then walks whole.
-A walk given a target (purity asks only whether a word is lighter than
-the distance) also stops once the floor reaches it, with that floor.  An
-exact result's witness is the lexicographically smallest minimum-weight
-word (outside the excluded subcode, for a difference), independent of the
-order in which the words are visited.
+The span is walked whole, or by layers of the messages on t groups of
+rows, which prove a floor and stop the walk once it is reached; the one
+statement of that policy (layers, floors, decided ties, the budget and
+target rules, `visited` and the witness) is `_search`'s docstring.
 """
 
 from __future__ import annotations
@@ -72,12 +57,16 @@ from .gf import Field, field_make, field_of_order
 DEFAULT_BUDGET = 1 << 26
 # codewords per numpy block of the minimum-weight search; bounds its memory
 _BLOCK = 4096
-# spans of at most this many words are walked exhaustively, without layers
+# spans of at most this many words are walked exhaustively, without layers:
+# on a shared 2 vCPU Xeon a whole GF(2) walk of 2^10-2^14 words took 0.1-0.3
+# ms, and layers first, which rarely prove such a span, 2-2.5x as long
 _SMALL_SPAN = 1 << 14
-# what a layered visit is taken to cost, in exhaustive visits: GF(2) layers
-# of packed words ran 36-86 M visits/s against 110-255 M exhaustive on a
-# shared 2 vCPU Xeon, and small layers cost more per word; weighs layers
-# against a whole-span walk
+# what a layered visit is taken to cost, in exhaustive visits; layers take at
+# most 1/_LAYERED_COST of a span within the budget before it is walked whole.
+# On that Xeon the layers within 1/16 of GF(2) spans of 2^20-2^22 words ran
+# 49-114 M visits/s against 229-409 M whole (GF(4) 30 against 197-235), so
+# layers that prove nothing add 7-27% to the whole walk; walking every layer
+# instead took up to 19x the whole walk (a random [128,20] code)
 _LAYERED_COST = 16
 
 
@@ -459,7 +448,7 @@ class DistanceResult:
     value: int
     status: str
     witness: tuple[int, ...] | None = None
-    # words walked, a layered attempt and the whole-span walk after it both included
+    # nonzero words weighed, a layered attempt and the whole-span walk after it both included
     visited: int = 0
 
     @property
@@ -535,8 +524,8 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
 
     The walk runs over C's enumeration domain (`_weight_domain`): the span
     of its basis rows, B given in the same columns.  `visited` counts the
-    words walked: a layered attempt and then the exhaustive walk both
-    count, and the witness is mapped back to a codeword of C.
+    nonzero words weighed: a layered attempt and then the exhaustive walk
+    both count.  The witness is mapped back to a codeword of C.
 
     A word is a column of a block of at most _BLOCK words, laid out as
     `_layout` describes; nothing else here depends on the field.  The
@@ -548,9 +537,11 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     pivots `fmatrix.rref` records, so a group has one or two rows.  The
     other rows vanish on a group's pivot columns, which read the group's
     coefficients, so a message nonzero on t groups touches at least t
-    qudits.  Only when a pair's q^2 - 1 words would
-    exceed a block (q > 64) is every row its own group: a qudit may then
-    hold two, and the bound drops to max(ceil(t/2), t - such qudits).
+    qudits.  Only when a pair's q^2 words would exceed a block (q > 64)
+    is every row its own group: a qudit may then hold two, and the bound
+    drops to max(ceil(t/2), t - such qudits).  Either way a group's rows
+    span at most a block, so its words are one span table less its zero
+    word.
     Layer t holds the messages nonzero on exactly t groups,
     e_t(q^|g_1| - 1, q^|g_2| - 1, ...) words.  Table j holds layer j
     ordered by last group.  Layer t is table ceil(t/2) joined with table
@@ -571,12 +562,11 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     word that uses a row before it is nonzero at that row's pivot, where
     the best word is still zero, so its key is larger.  So if fewer than t
     groups hold a row at or after the leading row, every word of layer t
-    uses an earlier row, and the layer is skipped.  It is counted in
-    `visited` as if walked, so `visited` and every budget decision stay
-    what the full layer gives.  The count is below every later layer too,
-    and their words weigh at least the floor, so a walk that ends before
-    such a decided layer has the exact distance and the full walk's
-    witness.
+    uses an earlier row: the layer is decided, and it ends the walk with
+    the exact distance and the full walk's witness.  That count does not
+    depend on t, so every later layer whose floor ties the best word is
+    decided too, and a later layer with a higher floor holds no lighter
+    word.  A decided layer is not walked, and `visited` does not count it.
 
     The walk is chosen from counts alone.  A span beyond the budget walks
     layers while they fit it, and stops early once proven; its result is
@@ -641,12 +631,12 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     low = 1  # the span of `low` rows fills at most a block
     while q ** (low + 1) <= _BLOCK:
         low += 1
-    zero = np.zeros((height, 1), dtype=mults.dtype)
 
     def span(idx):
-        """Every word of the span of the rows idx, in blocks."""
-        table = zero
-        for i in idx[-low:]:
+        """Every word of the span of the rows idx, in blocks: one table, its
+        word 0 the zero word, for at most `low` rows."""
+        table = mults[:, idx[-1], :]
+        for i in idx[-low:-1]:
             table = plus(mults[:, i, :, None], table[:, None, :]).reshape(height, -1)
         return blocks(span(idx[:-low]), table) if len(idx) > low else [table]
 
@@ -660,20 +650,14 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
             consider(W)
         return result(EXACT, total)
 
-    # rows grouped by the qudit of their pivot, if a pair's q^2 - 1 words fit
-    # a block; sym[j] holds group j's nonzero words
+    # rows grouped by the qudit of their pivot, if a pair's q^2 words fit a
+    # block; sym[j] holds group j's nonzero words, from its one span table
     qudit = [c % quantum_half for c in pivots] if quantum_half else pivots
-    paired = q * q - 1 <= _BLOCK
     by_group: dict[int, list[int]] = {}
     for i, c in enumerate(qudit):
-        by_group.setdefault(c if paired else i, []).append(i)
+        by_group.setdefault(c if low > 1 else i, []).append(i)
     groups = list(by_group.values())
-    sym = []
-    for idx in groups:
-        W = mults[:, idx[0], :]
-        for i in idx[1:]:
-            W = plus(W[:, :, None], mults[:, i, None, :]).reshape(height, -1)
-        sym.append(W[:, 1:])  # word 0 is the zero word
+    sym = [span(idx)[0][:, 1:] for idx in groups]
     g = len(sym)
     size = np.array([z.shape[1] for z in sym])
     # words the layers may take: the budget, or a share of a span within it
@@ -693,6 +677,7 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
     # tables[j]: the words on j groups ordered by last group, with their
     # first and last groups; the empty message starts after every group
     group = np.repeat(np.arange(g), size)
+    zero = np.zeros((height, 1), dtype=mults.dtype)
     tables = [(zero, np.array([g]), np.array([-1])), (np.concatenate(sym, axis=1), group, group)]
     by_first = {j: tables[j][:2] for j in (0, 1)}  # j: table j's words and first groups, by first group
 
@@ -750,12 +735,11 @@ def _search(C: LinearCode, wfn: str, budget: int, exclude: LinearCode | None, ta
 
     stop = n + 2 if target is None else target  # no floor exceeds g + 1 <= n + 1
     visited, t = 0, 1
-    while t <= g and best_w >= floors[t] and floors[t] < stop and visited + layers[t] <= cap:
-        if not decided(t):
-            while len(tables) <= -(-t // 2):
-                grow()
-            for W in join(-(-t // 2), t // 2)[1]:
-                consider(W)
+    while t <= g and best_w >= floors[t] and floors[t] < stop and visited + layers[t] <= cap and not decided(t):
+        while len(tables) <= -(-t // 2):
+            grow()
+        for W in join(-(-t // 2), t // 2)[1]:
+            consider(W)
         visited += layers[t]
         t += 1
     if t > g or best_w < floors[t] or decided(t):

@@ -742,10 +742,12 @@ def test_partial_budget_bounds_never_exceed_exact_value():
 
 
 def test_partial_budget_exact_below_floor(hamming74):
-    # [7,4,3]: layers t <= 3 take 4 + 6 + 4 = 14 visits, one short of the span
+    # [7,4,3]: layers t <= 3 would take 4 + 6 + 4 = 14 visits, one short of
+    # the span; layers 1-2 hold 10 words, and layer 3 is decided (below), so
+    # it ends the walk unwalked
     r = min_weight(hamming74, budget=14)
     full = min_weight(hamming74)
-    assert (r.value, r.status, r.visited) == (3, EXACT, 14)
+    assert (r.value, r.status, r.visited) == (3, EXACT, 10)
     assert r.witness == full.witness
     # with t <= 2 done the floor is 3, equal to the lightest word found, and
     # layer 3 is decided: fewer than 3 groups hold a row at or after the
@@ -757,24 +759,9 @@ def test_partial_budget_exact_below_floor(hamming74):
 def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
     """Reference for the engine: (value, status, witness, visited).
 
-    Rows are grouped by the qudit of their pivot (by the pivot itself for
-    plain Hamming weight), unless a pair's q^2 - 1 words exceed a block:
-    then every row is a group, and a qudit may hold two.  Layer t holds
-    the messages nonzero on exactly t groups, which touch at least
-    floor(t) = max(ceil(t/2), t - such qudits) qudits.  Once layers
-    1..t-1 are visited, a lightest word below floor(t) outside
-    span(ex_rows) is proven.  A span of at most _SMALL_SPAN words within
-    the budget is visited whole.  A span beyond the budget visits layers
-    while they fit and are unproven, and ends with the floor.  A larger
-    span within the budget visits layer t while _LAYERED_COST * (visited +
-    layer t) is at most the span, and then the whole span.  With a target,
-    a walk that has started on layers ends before layer t, or before the
-    whole span, once floor(t) reaches the target, with that floor.  A walk
-    that ends before layer t when the lightest word found weighs floor(t)
-    is exact all the same if fewer than t groups hold a row at or after
-    the row that leads that word: every unvisited word of that weight then
-    uses an earlier row, so it is nonzero where the lightest word is still
-    zero, and sorts after it."""
+    It follows the walk policy that `code._search`'s docstring states, by
+    brute force: each layer is every message on exactly t groups, and each
+    word is built and weighed symbol by symbol."""
     q, k, n = field.q, len(gen_rows), len(gen_rows[0])
 
     def word(msg, rows):
@@ -845,7 +832,7 @@ def _brute_search(field, gen_rows, half, ex_rows, budget, target=None):
         return sum(any(i >= lead for i in gr) for gr in groups) < t
 
     visited, t = 0, 1
-    while t <= g and best()[0] >= floor(t) and not reached(t):
+    while t <= g and best()[0] >= floor(t) and not reached(t) and not decided(t):
         if total > budget:
             go = visited + sizes[t] <= budget
         else:
@@ -1131,14 +1118,15 @@ def test_search_matches_brute_force_across_blocks():
 def test_search_matches_brute_force_where_a_tie_layer_is_decided(monkeypatch):
     """Layer t ties when the best word so far weighs floors[t].  If fewer
     than t groups hold a row at or after that word's leading row, the layer
-    is skipped and counted as walked: each of its words weighs at least the
-    best, and uses a row before the leading one, so it is nonzero where the
-    best word is still zero and its key is larger.  Value, status, witness
-    and visited must match the model, which walks every layer.  These reach
-    a tie layer that is skipped: Hamming [7,4] minus its dual at budget 14,
-    RM(2,4) minus RM(1,4) at 2^10 - 1 and 2^11 - 2, and Steane's code (its
-    symplectic dual minus the stabilizer) at 254.  Hamming [15,11] minus
-    its dual reaches one that five groups hold, which is walked."""
+    is decided and ends the walk unwalked: each of its words weighs at least
+    the best, and uses a row before the leading one, so it is nonzero where
+    the best word is still zero and its key is larger.  Value, status,
+    witness and visited must match the model, which builds every layer it
+    walks word by word.  These reach a decided tie layer: Hamming [7,4]
+    minus its dual at budget 14, RM(2,4) minus RM(1,4) at 2^10 - 1 and
+    2^11 - 2, and Steane's code (its symplectic dual minus the stabilizer)
+    at 254.  Hamming [15,11] minus its dual reaches a tie layer that five
+    groups hold, which is walked."""
     f2 = field_of_order(2)
     simplex = [tuple((j + 1) >> i & 1 for j in range(15)) for i in range(4)]
     ham15 = dual(linear_code(f2, simplex), "euclidean")
@@ -1162,6 +1150,60 @@ def test_search_matches_brute_force_where_a_tie_layer_is_decided(monkeypatch):
                              (0, 0, 0, 0, 1, 0, 1, 1), (0, 0, 0, 0, 0, 1, 1, 1)])
     _check_against_brute_force(P, "quantum", 15)
     assert min_weight(P, "quantum", 15).witness == (0, 0, 0, 0, 1, 1, 0, 0)
+
+
+def test_visited_counts_the_words_walked(monkeypatch, hamming74):
+    """`visited` is the number of nonzero words the walk weighs: a layer
+    enters it only if its words were walked.  Every word passes the
+    weight step, `ones` of the layout, once per walk, so a wrapped `ones`
+    counts the words weighed and the zero words among them.  The zero word
+    is weighed, once, exactly when the whole span is walked (visited then
+    includes the span's q^k - 1 words).  Random codes over six fields
+    under Hamming, quantum and additive weight, differences and targets,
+    at budgets from 2^2 up to the span; Hamming [7,4] at budget 14 ends on
+    a decided layer 3 after its 10 words on one or two groups."""
+    weighed, zeros = [], []
+    layout = code._layout
+
+    def counting(field, basis, half):
+        mults, split, plus, ones, word, lead, unpack = layout(field, basis, half)
+
+        def counted(X):
+            weighed.append(X.shape[-1])
+            zeros.append(int((~X.any(axis=0)).sum()))
+            return ones(X)
+
+        return mults, split, plus, counted, word, lead, unpack
+
+    monkeypatch.setattr(code, "_layout", counting)
+
+    def check(r, total):
+        assert sum(weighed) - sum(zeros) == r.visited, (r, total)
+        assert sum(zeros) == (r.visited >= total), (r, total)
+        weighed.clear()
+        zeros.clear()
+
+    r = min_weight(hamming74, budget=14)
+    assert (r.value, r.status, r.visited) == (3, EXACT, 10)
+    check(r, 15)
+    rng = random.Random(28)
+    # (field order, kind, rows, columns): spans of 10^2-10^5 words, so some
+    # are walked whole at once and some after their layers
+    shapes = [(2, "hamming", 17, 30), (2, "quantum", 16, 24), (2, "hamming", 9, 14), (3, "hamming", 10, 18),
+              (3, "quantum", 9, 16), (4, "hamming", 8, 14), (4, "additive", 15, 24), (5, "quantum", 7, 12),
+              (16, "hamming", 4, 9), (16, "additive", 7, 12), (256, "hamming", 2, 5), (256, "quantum", 2, 6)]
+    for q, kind, k, n in shapes * 3:
+        A = _random_case(q, kind, k, n, rng)
+        wfn = "quantum" if kind == "quantum" else "hamming"
+        field, gen, _, _ = _weight_domain(A, wfn)
+        total = field.q**gen.nrows - 1
+        budgets = [4**e for e in range(1, 10) if 4**e < total] + [total - 1, total]
+        for B in (None, _subcode(A, rng)):
+            for budget in budgets:
+                r = min_weight_diff(A, B, wfn, budget) if B is not None else min_weight(A, wfn, budget)
+                check(r, total)
+                if B is None:
+                    check(min_weight(A, wfn, budget, target=r.value), total)
 
 
 def test_search_finds_planted_words_at_layer_edges(monkeypatch):
