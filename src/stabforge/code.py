@@ -159,9 +159,7 @@ def quad_ext(big: Field) -> QuadExt:
 
 def hermitian_pair(f: Field, u, v) -> int:
     """sum u_i v_i^s with s = sqrt(q); requires square order."""
-    if f.m % 2:
-        raise WrongFieldOrder(f"Hermitian pairing needs square order, got GF({f.q})")
-    half = f.m // 2
+    half = quad_ext(f).sub.m
     acc = 0
     for x, y in zip(u, v):
         acc = f.add(acc, f.mul(x, f.frob(y, half)))
@@ -366,9 +364,7 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
             raise StabforgeError(f"{ip} dual is defined here for linear codes only")
         M = C.basis
         if ip == "hermitian":
-            if f.m % 2:
-                raise WrongFieldOrder(f"hermitian dual needs square order, got GF({f.q})")
-            M = fmatrix.entrywise_frob(C.basis, f.m // 2)
+            M = fmatrix.entrywise_frob(C.basis, quad_ext(f).sub.m)
         return LinearCode(f, C.n, fmatrix.kernel(M), LINEAR)
     units = ((1, 0), (0, 1))  # 1 and gamma at one qudit, as (a|b)
     if ip == "symplectic":
@@ -379,8 +375,6 @@ def dual(C: LinearCode, ip: str) -> LinearCode:
         half, base, B = C.n // 2, f, C.basis
         P = [[symplectic_pair(f, x, y) for y in units] for x in units]
     else:
-        if f.m % 2:
-            raise WrongFieldOrder(f"{ip} dual needs square order, got GF({f.q})")
         ext = quad_ext(f)
         half, base, B = C.n, ext.sub, as_additive(C).basis
         pair = trace_hermitian_pair if ip == "trace_hermitian" else trace_alternating_pair
@@ -884,7 +878,7 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
             if length < 1:
                 raise CodeFileError(f"{name}:{lineno}: expected 'length n' with n >= 1")
         else:
-            kind = tok
+            kind, kind_line = tok, lineno
             if kind not in (LINEAR, ADDITIVE, SYMPLECTIC):
                 raise CodeFileError(f"{name}:{lineno}: kind must be linear|additive|symplectic")
     if field is None or length is None or kind is None:
@@ -907,7 +901,7 @@ def parse_code(text: str, name: str = "<string>") -> LinearCode:
         return symplectic_code(field, rows, half=length)
     if kind == ADDITIVE:
         if field.m % 2:
-            raise CodeFileError(f"{name}: additive codes need a square-order field")
+            raise CodeFileError(f"{name}:{kind_line}: additive codes need a square-order field")
         return additive_code(field, rows, n=length)
     return linear_code(field, rows, n=length)
 

@@ -45,17 +45,6 @@ _CONWAY: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_power(q: int) -> tuple[int, int] | None:
     """(p, m) with q = p^m, or None when q is not a prime power."""
     if q < 2:
@@ -81,7 +70,7 @@ class Field:
     """
 
     def __init__(self, p: int, m: int):
-        if not _is_prime(p):
+        if _prime_power(p) != (p, 1):
             raise NotPrime(f"characteristic {p} is not prime")
         if m < 1 or m > 8 or p**m > 256:
             raise UnsupportedSize(f"GF({p}^{m}) outside supported range (q <= 256, m <= 8)")

@@ -58,7 +58,6 @@ from .errors import (
     NotEnlargement,
     NotNested,
     StabforgeError,
-    WrongFieldOrder,
 )
 from .gf import _prime_power, field_of_order
 from .pauli import not_self_orthogonal, pauli_format, pauli_from_vector
@@ -197,8 +196,6 @@ def certify_stabilizer(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Stabi
 def certify_additive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> StabilizerCode:
     """Certify a trace-alternating self-orthogonal additive code over
     GF(q^2) by pulling it back through Phi^-1."""
-    if C.field.m % 2:
-        raise WrongFieldOrder(f"additive certification needs GF(q^2), got GF({C.field.q})")
     A = as_additive(C)
     # Phi carries the trace-alternating pairing to the symplectic one, so
     # the symplectic check on the preimage is the additive check
@@ -209,6 +206,16 @@ def _check_linear_pair(C1: LinearCode, C2: LinearCode):
     # a field or length mismatch fails in `is_subcode`, reached before any walk
     if C1.is_additive or C2.is_additive:
         raise StabforgeError("CSS-type constructions take linear ingredient codes")
+
+
+def _css_pair(C1: LinearCode, C2: LinearCode, ip: str) -> tuple[LinearCode, LinearCode]:
+    """(C1^perp, C2^perp) under `ip`, for linear C1 and C2 whose C1^perp lies
+    in C2: the one check of what both CSS constructions need."""
+    _check_linear_pair(C1, C2)
+    D1 = dual(C1, ip)
+    if not is_subcode(D1, C2):
+        raise NotNested(f"C1^perp ({ip}) is not contained in C2")
+    return D1, dual(C2, ip)
 
 
 def _merge_status(*results: DistanceResult) -> str:
@@ -236,25 +243,23 @@ def css(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> Stabili
     Purity pairs d with C1^perp and with C2^perp.  For k = 0 the block is
     certified directly.
     """
-    _check_linear_pair(C1, C2)
-    n = C1.n
-    D1 = dual(C1, "euclidean")
-    if not is_subcode(D1, C2):
-        raise NotNested("C1^perp_E is not contained in C2")
-    D2 = dual(C2, "euclidean")
-    f = C1.field
+    D1, D2 = _css_pair(C1, C2, "euclidean")
+    n, f = C1.n, C1.field
     block = SymplecticCode(f, 2 * n, _stack(D1.basis, D2.basis, n))
     k = C1.k_dim + C2.k_dim - n
     tag = f"css(C1:{code_digest(C1)},C2:{code_digest(C2)})"
     if k == 0:
         return _certify(block, budget, tag)
     w21, w12 = _css_walks(C1, C2, D1, D2, budget)
-    if w21.value <= w12.value:
-        sym_wit = tuple(w21.witness) + (0,) * n if w21.witness else None
+    # d is the lighter coset's result, the exact one on a tie: no walk's value
+    # exceeds its coset's distance, so the other coset is no lighter than d
+    w = min(w21, w12, key=lambda r: (r.value, not r.is_exact))
+    if w.witness is None:
+        sym_wit = None
     else:
-        sym_wit = (0,) * n + tuple(w12.witness) if w12.witness else None
+        sym_wit = tuple(w.witness) + (0,) * n if w is w21 else (0,) * n + tuple(w.witness)
     visited = w21.visited if w12 is w21 else w21.visited + w12.visited
-    d = DistanceResult(min(w21.value, w12.value), _merge_status(w21, w12), sym_wit, visited)
+    d = replace(w, witness=sym_wit, visited=visited)
     pure = _purity("hamming", budget, (d, D1), (d, D2))
     params = CodeParams(q=f.q, n=n, k=k, d=d, pure=pure, provenance=tag)
     return StabilizerCode(code=block, params=params)
@@ -296,8 +301,6 @@ def construction_x(C: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:
     """
     if C.is_additive:
         raise StabforgeError("Construction X takes a linear code over GF(q^2)")
-    if C.field.m % 2:
-        raise WrongFieldOrder(f"Construction X needs GF(q^2), got GF({C.field.q})")
     Dh = dual(C, "hermitian")
     S = sum_code(C, Dh)
     e = S.k_dim - Dh.k_dim
@@ -359,11 +362,7 @@ def css_aqc(
     """
     if ip not in AQC_INNER_PRODUCTS:
         raise StabforgeError(f"inner product must be one of {AQC_INNER_PRODUCTS}")
-    _check_linear_pair(C1, C2)
-    D1 = dual(C1, ip)
-    if not is_subcode(D1, C2):
-        raise NotNested(f"C1^perp ({ip}) is not contained in C2")
-    D2 = dual(C2, ip)
+    D1, D2 = _css_pair(C1, C2, ip)
     w21, w12 = _css_walks(C1, C2, D1, D2, budget)
     dz, dx = (w21, w12) if w21.value >= w12.value else (w12, w21)
     pure = _purity("hamming", budget, (w21, D1), (w12, D2))
@@ -385,9 +384,6 @@ def ea_ebits(C: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:
     The hull's errors act trivially, so d = wt(C minus hull) if 0 < dim hull < k."""
     if C.is_additive:
         raise StabforgeError("the EA construction takes a linear code over GF(q^2)")
-    f = C.field
-    if f.m % 2:
-        raise WrongFieldOrder(f"EA construction needs GF(q^2), got GF({f.q})")
     Hu = hull(C, "hermitian")
     c = C.n - C.k_dim - Hu.k_dim
     if 0 < Hu.k_dim < C.k_dim:
@@ -395,7 +391,7 @@ def ea_ebits(C: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeParams:
     else:
         d = min_weight(C, budget=budget) if C.k_dim else DistanceResult(C.n + 1, EXACT, None, 0)
     return CodeParams(
-        q=quad_ext(f).sub.q,
+        q=quad_ext(C.field).sub.q,
         n=C.n,
         k=2 * C.k_dim - C.n + c,
         d=d,

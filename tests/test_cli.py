@@ -7,7 +7,7 @@ import argparse
 import pytest
 
 from stabforge.cli import _budget_log2, run
-from stabforge.code import dump_code, dual, load_code, parse_code, save_code
+from stabforge.code import dump_code, dual, linear_code, load_code, parse_code, save_code
 from stabforge.gf import field_make
 
 from conftest import EX512_ROWS, HAMMING74_ROWS, HEXACODE_ROWS, even_weight_rows
@@ -309,6 +309,43 @@ def test_code_file_entry_range_names_row_line(tmp_path, capsys):
     path = _write_code(tmp_path / "range.sym", "length 2", ["1 0 7 0", "0 1 0 0"])
     assert run(["certify", "--in", path]) == 2
     assert f"{path}:5:" in capsys.readouterr().err
+
+
+def test_additive_file_over_a_non_square_field_names_its_kind_line(tmp_path, capsys):
+    path = tmp_path / "add3.code"
+    path.write_text("field GF(3)\nlength 2\nkind additive\nrows\n1 0\n")
+    assert run(["certify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: additive codes need a square-order field\n"
+
+
+def test_field_header_without_gf_names_its_line(tmp_path, capsys):
+    path = tmp_path / "field4.code"
+    path.write_text("field 4\nlength 2\nkind linear\nrows\n1 0\n")
+    assert run(["info", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: expected 'field GF(q)'\n"
+
+
+def test_kl_rejects_a_linear_file(files, capsys):
+    assert run(["kl", "--in", str(files["hamming"]), "--delta", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {files['hamming']}: kl requires a symplectic code file\n"
+
+
+def test_params_need_their_count_of_integers(capsys):
+    for params, err in (
+        ("5,1,3", "--params expects 4 comma-separated integers (n,k,d,q)"),
+        ("5,1,x,2", "--params entries must be integers (n,k,d,q)"),
+    ):
+        assert run(["propagate", "--params", params, "--rule", "subcode"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_ea_kv_reports_the_ebit(tmp_path, capsys):
+    # a GF(4) [4, 2] code with a one-dimensional Hermitian hull: c = 4 - 2 - 1
+    path = tmp_path / "ea42.code"
+    save_code(linear_code(field_make(2, 2), [(1, 0, 2, 2), (0, 1, 2, 1)]), path)
+    assert run(["ea", "--in", str(path), "--kv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:7] == ["q=2", "n=4", "k=1", "d=3", "d.status=exact", "ebits=1", "pure=unknown"]
 
 
 def test_negative_budget_is_usage_error(files, capsys):

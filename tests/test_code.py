@@ -654,6 +654,13 @@ def test_min_weight_zero_code_raises(f2):
         min_weight(linear_code(f2, [], n=4))
 
 
+def test_min_weight_rejects_an_unknown_or_misplaced_weight(f2, hamming74):
+    with pytest.raises(StabforgeError, match="^unknown weight function 'bogus'$"):
+        min_weight(hamming74, "bogus")
+    with pytest.raises(StabforgeError, match="^quantum weight needs a symplectic column layout$"):
+        min_weight(hamming74, "quantum")
+
+
 def test_min_weight_matches_naive_oracle_dim_10(f2):
     rng = random.Random(101)
     C = linear_code(f2, [[rng.randrange(2) for _ in range(18)] for _ in range(10)])

@@ -23,6 +23,7 @@ from stabforge.code import (
     hull,
     linear_code,
     min_weight,
+    min_weight_diff,
     phi_code,
     quantum_weight,
     save_code,
@@ -36,6 +37,7 @@ from stabforge.errors import (
     NotEnlargement,
     NotNested,
     NotSelfOrthogonal,
+    WrongFieldOrder,
 )
 from stabforge.gf import field_make, field_of_order
 from stabforge.pauli import hermitian_phases
@@ -287,6 +289,71 @@ def test_css_not_nested(f2, even762):
     C2 = linear_code(f2, [(1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)])
     with pytest.raises(NotNested):
         css(even762, C2)
+
+
+def test_css_and_aqc_share_one_nesting_check(f2, even762):
+    C2 = linear_code(f2, [(1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)])
+    for construct in (css, css_aqc):
+        with pytest.raises(NotNested, match=r"^C1\^perp \(euclidean\) is not contained in C2$"):
+            construct(even762, C2)
+
+
+@pytest.mark.parametrize("budget", ["10", "14"])
+def test_css_d_is_the_exact_lighter_coset_when_the_other_runs_out(tmp_path, capsys, budget):
+    # RM(3,5)^perp = RM(1,5) lies in C2 = RM(1,5) + e_1: wt(C2 minus RM(1,5)) = 1
+    # is exact at once, while the weight-4 coset of RM(3,5) outruns the budget
+    rm35, c2 = tmp_path / "rm35.code", tmp_path / "c2.code"
+    save_code(linear_code(F2, reed_muller_rows(3, 5)), rm35)
+    save_code(linear_code(F2, reed_muller_rows(1, 5) + [(1,) + (0,) * 31]), c2)
+    for first, second, pauli in ((rm35, c2, "X"), (c2, rm35, "Z")):
+        assert run(["css", "--c1", str(first), "--c2", str(second), "--budget", budget]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "[[32,1,1]]_2 pure=true d.status=exact"
+        assert out[2] == "witness: " + pauli + "I" * 31
+
+
+def _nested_pair(f, rng):
+    """Random linear (C1, C2) over f with C1^perp inside C2 and k > 0."""
+    q = f.q
+    while True:
+        n = rng.randrange(10, 19 if q == 2 else 11)
+        C2 = linear_code(f, [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(n // 2, n - 1))])
+        rows = C2.basis.rows
+        combos = [[rng.randrange(q) for _ in rows] for _ in range(rng.randrange(1, C2.k_dim))]
+        D1 = linear_code(f, [[sum(c * r[j] for c, r in zip(cs, rows)) % q for j in range(n)] for cs in combos], n)
+        C1 = dual(D1, "euclidean")
+        if C1.k_dim + C2.k_dim > n:
+            return C1, C2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_css_partial_budget_d_is_the_lighter_coset_walk(q):
+    # d is the lighter coset walk's result, the exact one on a tie, with that
+    # walk's witness on its side; it never exceeds the full-budget d
+    f = field_make(q, 1)
+    rng = random.Random(29 + q)
+    seen = Counter()
+    for _ in range(40 if q == 2 else 15):
+        C1, C2 = _nested_pair(f, rng)
+        n, D1, D2 = C1.n, dual(C1, "euclidean"), dual(C2, "euclidean")
+        full = css(C1, C2).params.d
+        for budget in (1 << 3, 1 << 5, 1 << 7, 1 << 9):
+            d = css(C1, C2, budget).params.d
+            w21 = min_weight_diff(C2, D1, budget=budget)
+            w12 = w21 if C1 == C2 else min_weight_diff(C1, D2, budget=budget)
+            w = w12 if (w12.value, not w12.is_exact) < (w21.value, not w21.is_exact) else w21
+            assert (d.value, d.status) == (w.value, w.status)
+            if w.witness is None:
+                assert d.witness is None
+            else:
+                side = (0,) * n
+                assert d.witness == (tuple(w.witness) + side if w is w21 else side + tuple(w.witness))
+            assert d.value <= full.value and (d.value == full.value or not d.is_exact)
+            seen[w21.value == w12.value, w21.status, w12.status] += 1
+    # the draw reaches ties settled by the exact walk on either side, and
+    # untied walks of mixed status in both orders
+    assert seen[True, LOWER_BOUND, EXACT] and seen[True, EXACT, LOWER_BOUND]
+    assert seen[False, LOWER_BOUND, EXACT] and seen[False, EXACT, LOWER_BOUND]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -841,6 +908,30 @@ def test_construction_x_builds_one_dual_and_one_sum(monkeypatch, f4):
     p = construction_x(linear_code(f4, [(1, 1, 0, 0), (0, 0, 1, 0)]))
     assert (p.n, p.k) == (5, 1)
     assert counts == {"dual": 1, "sum_code": 1}
+
+
+def test_square_order_is_checked_by_quad_ext_before_any_walk(monkeypatch, f3):
+    """Every GF(q^2) construction reaches `quad_ext`, whose message names the
+    field, before it walks a word."""
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the field order was checked")
+
+    monkeypatch.setattr(code_mod, "_search", no_walk)
+    C = linear_code(f3, [(1, 1, 0), (0, 1, 2)])
+    sites = [
+        lambda: code_mod.hermitian_pair(f3, (1, 2), (2, 1)),
+        lambda: dual(C, "hermitian"),
+        lambda: dual(C, "trace_hermitian"),
+        lambda: dual(C, "trace_alternating"),
+        lambda: certify_additive(C),
+        lambda: construction_x(C),
+        lambda: ea_ebits(C),
+        lambda: css_aqc(C, C, ip="hermitian"),
+    ]
+    for site in sites:
+        with pytest.raises(WrongFieldOrder, match=r"^GF\(3\) is not of square order$"):
+            site()
 
 
 def test_each_certificate_hashes_its_code_once(monkeypatch, ex512, hexacode, hamming74):
